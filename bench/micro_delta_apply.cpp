@@ -87,6 +87,11 @@ int Main(int argc, char** argv) {
     StTransRecConfig mcfg = opts.DeepConfig();
     StTransRec model(mcfg);
     STTR_CHECK_OK(model.Prepare(world.dataset, split));
+    // Mark the parameters final and score once, so the precomputed POI
+    // share of layer 0 exists and every timed apply also recomputes its
+    // patched rows.
+    STTR_CHECK_OK(model.ApplyDelta(MakeDelta(model, 0, 0, rng)));
+    model.Score(0, 0);
     const size_t table_rows =
         world.dataset.num_users() + world.dataset.num_pois();
     for (size_t n : {16UL, 64UL, 256UL, 1024UL}) {

@@ -70,7 +70,8 @@ int Main(int argc, char** argv) {
   std::cout << "\nkernel                pairs    seconds    Mpairs/s  speedup\n";
   Rng rng(opts.seed == 0 ? 42 : opts.seed);
   volatile double sink = 0;
-  for (const size_t n : {size_t{512}, size_t{4096}, size_t{32768}}) {
+  for (const size_t n :
+       {size_t{512}, size_t{4096}, size_t{8790}, size_t{32768}}) {
     std::vector<UserId> users(n);
     std::vector<PoiId> pois(n);
     for (size_t i = 0; i < n; ++i) {

@@ -234,7 +234,7 @@ Status ParallelTrainer::TrainEpochs(size_t epochs) {
     // are zero between iterations, so this is the complete training state.
     STTR_RETURN_IF_ERROR(master_->MaybeWriteCheckpoint(&worker_rngs_));
   }
-  master_->fitted_ = true;
+  master_->MarkFitted();
   return Status::OK();
 }
 

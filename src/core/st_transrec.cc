@@ -19,6 +19,7 @@
 #include "transfer/mmd.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace sttr {
 
@@ -147,6 +148,8 @@ Status StTransRec::Prepare(const Dataset& dataset,
   optimizer_ = std::make_unique<nn::Adam>(Parameters(), config_.learning_rate);
   loss_history_.clear();
   fitted_ = false;
+  params_final_ = false;
+  DropPoiLayer0();
   return Status::OK();
 }
 
@@ -323,6 +326,8 @@ TrainingBatch StTransRec::SampleBatch(Rng& rng) const {
 
 StepLosses StTransRec::ComputeGradients(const TrainingBatch& batch, Rng& rng) {
   STTR_CHECK(user_emb_ != nullptr) << "Prepare() not called";
+  params_final_ = false;
+  DropPoiLayer0();
   StepLosses losses;
 
   // Interaction tower: L_I (Eq. 11-13).
@@ -418,7 +423,7 @@ Status StTransRec::TrainInternal(const Dataset& dataset,
     }
     const size_t done = loss_history_.size();
     if (done >= config_.num_epochs) {
-      fitted_ = true;
+      MarkFitted();
       return Status::OK();
     }
     return trainer.TrainEpochs(config_.num_epochs - done);
@@ -448,9 +453,74 @@ Status StTransRec::TrainInternal(const Dataset& dataset,
     }
     STTR_RETURN_IF_ERROR(MaybeWriteCheckpoint(nullptr));
   }
-  fitted_ = true;
+  MarkFitted();
   return Status::OK();
 }
+
+namespace {
+
+// Rows per tower block. A block runs every layer while its activations
+// (kTowerBlockRows x 128 floats = 128 KiB at the paper's widths) stay in
+// cache, and blocks are the unit the pool shards.
+constexpr size_t kTowerBlockRows = 256;
+
+// A thread's tower scratch: the two ping-pong block buffers of
+// Mlp::InferenceForward. They hold one block, so a warmed thread (the
+// caller or a pool worker) runs blocks without allocating.
+struct BlockBuffers {
+  std::vector<float> a;
+  std::vector<float> b;
+};
+thread_local BlockBuffers t_block;
+
+// The calling thread's staging for ScoreInto: user-run bounds, the runs'
+// user rows and their layer-0 shares, grown to the largest call so far.
+struct RunStaging {
+  std::vector<size_t> starts;
+  std::vector<float> user_rows;
+  std::vector<float> user_share;
+};
+thread_local RunStaging t_runs;
+
+float* Reserve(std::vector<float>& buf, size_t floats) {
+  if (buf.size() < floats) buf.resize(floats);
+  return buf.data();
+}
+
+// Scalar sigmoid per logit on purpose: the vector kernel's polynomial exp
+// differs from the scalar one by ulps across batch positions, which would
+// break the per-pair exactness contract.
+void SigmoidInto(const float* logits, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = SigmoidScalar(logits[i]);
+}
+
+// Scores rows [0, n) into `out` block by block: layer0(i0, i1, act,
+// scratch) writes layer 0's output for rows [i0, i1) into `act` (row
+// stride layer0_width()) and may use `scratch`; both hold a block of
+// max_width()-wide rows. The rest of the tower and the sigmoid follow per
+// block. Blocks are sharded over the global pool (inline for one block or
+// on a pool worker); the shard callable holds one pointer, so dispatch
+// does not allocate.
+template <typename Layer0Fn>
+void RunTower(const nn::Mlp& mlp, size_t n, const Layer0Fn& layer0,
+              double* out) {
+  const size_t block_floats = kTowerBlockRows * mlp.max_width();
+  const auto shard = [&](size_t begin, size_t end) {
+    float* a = Reserve(t_block.a, block_floats);
+    float* b = Reserve(t_block.b, block_floats);
+    for (size_t i0 = begin; i0 < end; i0 += kTowerBlockRows) {
+      const size_t i1 = std::min(end, i0 + kTowerBlockRows);
+      layer0(i0, i1, a, b);
+      SigmoidInto(mlp.InferenceForward(a, b, i1 - i0), i1 - i0, out + i0);
+    }
+  };
+  const auto* run = &shard;
+  GlobalThreadPool().ParallelForChunked(
+      n, kTowerBlockRows,
+      [run](size_t begin, size_t end) { (*run)(begin, end); });
+}
+
+}  // namespace
 
 double StTransRec::Score(UserId user, PoiId poi) const {
   return ScoreBatch(user, {&poi, 1})[0];
@@ -458,80 +528,137 @@ double StTransRec::Score(UserId user, PoiId poi) const {
 
 std::vector<double> StTransRec::ScoreBatch(UserId user,
                                            std::span<const PoiId> pois) const {
-  STTR_CHECK(fitted_) << "ScoreBatch() before Fit()";
-  if (pois.empty()) return {};
-  // Inference path: plain tensor maths, no graph, no dropout. One gathered
-  // [x_u | x_v] block per call; the tower then runs as N x D matrix
-  // products (ParallelMatMul) instead of N separate 1 x D forward passes.
-  const Tensor& user_table = user_emb_->table().value();
-  const Tensor& poi_table = poi_emb_->table().value();
-  STTR_CHECK_GE(user, 0);
-  STTR_CHECK_LT(static_cast<size_t>(user), user_table.rows());
-  const size_t n = pois.size();
-  const size_t d = user_table.cols();
-  const float* urow = user_table.row(static_cast<size_t>(user));
-  Tensor h({n, 2 * d});
-  for (size_t i = 0; i < n; ++i) {
-    const PoiId v = pois[i];
-    STTR_CHECK_GE(v, 0);
-    STTR_CHECK_LT(static_cast<size_t>(v), poi_table.rows());
-    float* dst = h.row(i);
-    const float* vrow = poi_table.row(static_cast<size_t>(v));
-    for (size_t j = 0; j < d; ++j) dst[j] = urow[j];
-    for (size_t j = 0; j < d; ++j) dst[d + j] = vrow[j];
-  }
-  const Tensor logits = mlp_->InferenceForward(h);
-  std::vector<double> out(n);
-  // Per-element scalar sigmoid on purpose: the vector kernel's polynomial
-  // exp differs from the scalar one by ulps across batch positions, which
-  // would break the ScoreBatch == per-pair Score exactness contract.
-  for (size_t i = 0; i < n; ++i) out[i] = SigmoidScalar(logits[i]);
+  std::vector<double> out(pois.size());
+  ScoreInto({&user, 1}, pois, out.data());
   return out;
 }
 
 std::vector<double> StTransRec::ScorePairs(std::span<const UserId> users,
                                            std::span<const PoiId> pois) const {
-  STTR_CHECK(fitted_) << "ScorePairs() before Fit()";
   STTR_CHECK_EQ(users.size(), pois.size());
-  if (pois.empty()) return {};
-  const Tensor& user_table = user_emb_->table().value();
-  const Tensor& poi_table = poi_emb_->table().value();
+  std::vector<double> out(pois.size());
+  ScoreInto(users, pois, out.data());
+  return out;
+}
+
+void StTransRec::ScoreInto(std::span<const UserId> users,
+                           std::span<const PoiId> pois, double* out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  STTR_CHECK(params_final_)
+      << "scoring after the parameters moved; Fit(), Load() or ApplyDelta() "
+         "must mark them final first";
   const size_t n = pois.size();
+  if (n == 0) return;
+  STTR_CHECK(users.size() == n || users.size() == 1);
+  const Tensor& user_table = user_emb_->table().value();
   const size_t d = user_table.cols();
-  Tensor h({n, 2 * d});
-  for (size_t i = 0; i < n; ++i) {
-    const UserId u = users[i];
-    const PoiId v = pois[i];
+  for (UserId u : users) {
     STTR_CHECK_GE(u, 0);
     STTR_CHECK_LT(static_cast<size_t>(u), user_table.rows());
-    STTR_CHECK_GE(v, 0);
-    STTR_CHECK_LT(static_cast<size_t>(v), poi_table.rows());
-    float* dst = h.row(i);
-    const float* urow = user_table.row(static_cast<size_t>(u));
-    const float* vrow = poi_table.row(static_cast<size_t>(v));
-    for (size_t j = 0; j < d; ++j) dst[j] = urow[j];
-    for (size_t j = 0; j < d; ++j) dst[d + j] = vrow[j];
   }
-  const Tensor logits = mlp_->InferenceForward(h);
-  std::vector<double> out(n);
-  // Scalar sigmoid for the same reason as ScoreBatch: the vector kernel
-  // differs by ulps across batch positions, which would break the
-  // ScorePairs == per-pair Score exactness contract.
-  for (size_t i = 0; i < n; ++i) out[i] = SigmoidScalar(logits[i]);
-  return out;
+  for (PoiId v : pois) {
+    STTR_CHECK_GE(v, 0);
+    STTR_CHECK_LT(static_cast<size_t>(v), poi_emb_->num_rows());
+  }
+
+  // Runs of equal users: run r covers rows [starts[r], starts[r + 1]).
+  std::vector<size_t>& starts = t_runs.starts;
+  starts.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || (users.size() > 1 && users[i] != users[i - 1])) {
+      starts.push_back(i);
+    }
+  }
+  starts.push_back(n);
+  const size_t runs = starts.size() - 1;
+
+  // User shares, one per run, as one product over the runs' user rows.
+  const size_t h0 = mlp_->layer0_width();
+  float* user_rows = Reserve(t_runs.user_rows, runs * d);
+  for (size_t r = 0; r < runs; ++r) {
+    const auto u =
+        static_cast<size_t>(users[users.size() == 1 ? 0 : starts[r]]);
+    std::memcpy(user_rows + r * d, user_table.data() + u * d,
+                d * sizeof(float));
+  }
+  float* user_share = Reserve(t_runs.user_share, runs * h0);
+  mlp_->Layer0Share(user_rows, d, runs, d, /*w0_row=*/0, user_share);
+
+  // Layer 0 proper: gathered POI share + the run's user share, bias, ReLU.
+  const float* p = PoiLayer0().data();
+  RunTower(
+      *mlp_, n,
+      [&](size_t i0, size_t i1, float* act, float*) {
+        auto r = static_cast<size_t>(
+            std::upper_bound(starts.begin(), starts.end(), i0) -
+            starts.begin() - 1);
+        for (size_t i = i0; i < i1; ++i) {
+          if (i == starts[r + 1]) ++r;
+          mlp_->Layer0Finish(p + static_cast<size_t>(pois[i]) * h0,
+                             user_share + r * h0, act + (i - i0) * h0);
+        }
+      },
+      out);
 }
 
 std::vector<double> StTransRec::ScoreGatheredPairs(const Tensor& h) const {
   STTR_CHECK(fitted_) << "ScoreGatheredPairs() before Fit()";
   const size_t d = user_emb_->table().value().cols();
   STTR_CHECK_EQ(h.cols(), 2 * d);
-  if (h.rows() == 0) return {};
-  const Tensor logits = mlp_->InferenceForward(h);
-  std::vector<double> out(h.rows());
-  // Scalar sigmoid, same as ScorePairs: the exactness contract includes the
-  // store-backed path.
-  for (size_t i = 0; i < h.rows(); ++i) out[i] = SigmoidScalar(logits[i]);
+  const size_t n = h.rows();
+  if (n == 0) return {};
+  const size_t h0 = mlp_->layer0_width();
+  std::vector<double> out(n);
+  RunTower(
+      *mlp_, n,
+      [&](size_t i0, size_t i1, float* act, float* scratch) {
+        // Both layer-0 shares from the gathered rows, with the kernel that
+        // builds P: act = POI share, scratch = user share.
+        const float* rows = h.data() + i0 * 2 * d;
+        mlp_->Layer0Share(rows + d, 2 * d, i1 - i0, d, /*w0_row=*/d, act);
+        mlp_->Layer0Share(rows, 2 * d, i1 - i0, d, /*w0_row=*/0, scratch);
+        for (size_t i = 0; i < i1 - i0; ++i) {
+          mlp_->Layer0Finish(act + i * h0, scratch + i * h0, act + i * h0);
+        }
+      },
+      out.data());
   return out;
+}
+
+void StTransRec::MarkFitted() {
+  fitted_ = true;
+  params_final_ = true;
+  DropPoiLayer0();
+}
+
+void StTransRec::DropPoiLayer0() {
+  poi_layer0_ready_.store(false, std::memory_order_relaxed);
+  poi_layer0_ = Tensor();
+}
+
+const Tensor& StTransRec::PoiLayer0() const {
+  if (!poi_layer0_ready_.load(std::memory_order_acquire)) {
+    // Computed outside the lock: the product may use the global pool,
+    // whose workers can themselves be first scorers of this model waiting
+    // here. Concurrent first scorers may each compute P; the first to
+    // publish wins and the copies are identical.
+    Tensor p({poi_emb_->num_rows(), mlp_->layer0_width()});
+    ComputePoiLayer0Rows(0, p.rows(), p);
+    MutexLock lock(poi_layer0_mu_);
+    if (!poi_layer0_ready_.load(std::memory_order_relaxed)) {
+      poi_layer0_ = std::move(p);
+      poi_layer0_ready_.store(true, std::memory_order_release);
+    }
+  }
+  return poi_layer0_;
+}
+
+void StTransRec::ComputePoiLayer0Rows(size_t begin, size_t end,
+                                      Tensor& p) const {
+  const Tensor& poi_table = poi_emb_->table().value();
+  const size_t d = poi_table.cols();
+  mlp_->Layer0Share(poi_table.data() + begin * d, d, end - begin, d,
+                    /*w0_row=*/d, p.data() + begin * p.cols());
 }
 
 const Tensor& StTransRec::UserEmbeddingTable() const {
@@ -575,7 +702,7 @@ Status StTransRec::Load(std::istream& in) {
   // All-or-nothing: a truncated stream or shape mismatch partway through
   // must not leave earlier parameters already replaced.
   STTR_RETURN_IF_ERROR(nn::LoadParametersAtomic(in, Parameters()));
-  fitted_ = true;
+  MarkFitted();
   return Status::OK();
 }
 
@@ -630,7 +757,21 @@ Status StTransRec::ApplyDelta(const DeltaCheckpoint& delta) {
                   d.dim * sizeof(float));
     }
   }
+  if (!delta.dense_params.empty()) {
+    MarkFitted();  // the tower moved: P is rebuilt on the next score
+    return Status::OK();
+  }
+  // Only patched POI rows move P; user and word rows touch nothing in it.
+  // Row-wise recomputation keeps the cost proportional to the delta. An
+  // unbuilt P is left to the next score, which reads the patched table.
+  if (poi_layer0_ready_.load(std::memory_order_acquire)) {
+    for (int64_t row : delta.poi.rows) {
+      ComputePoiLayer0Rows(static_cast<size_t>(row),
+                           static_cast<size_t>(row) + 1, poi_layer0_);
+    }
+  }
   fitted_ = true;
+  params_final_ = true;
   return Status::OK();
 }
 

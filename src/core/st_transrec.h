@@ -1,6 +1,7 @@
 #ifndef STTR_CORE_ST_TRANSREC_H_
 #define STTR_CORE_ST_TRANSREC_H_
 
+#include <atomic>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -13,6 +14,7 @@
 #include "nn/optimizer.h"
 #include "text/context_graph.h"
 #include "util/fs.h"
+#include "util/mutex.h"
 #include "util/rng.h"
 
 namespace sttr {
@@ -167,30 +169,36 @@ class StTransRec : public Recommender {
   Status Resume(const Dataset& dataset, const CrossCitySplit& split,
                 const std::string& dir = "");
 
+  /// Inference is defined by the factorized tower (DESIGN.md): layer 0 of
+  /// Eq. (11) on [x_u | x_v] is x_u·W0u + x_v·W0v, where the POI share
+  /// P = poi_table·W0v is precomputed (by the first score after the
+  /// parameters become final, then patched by ApplyDelta) and the user
+  /// share is computed once per run of equal users. Layer 0 is then
+  /// relu(P[v] + x_u·W0u + b0); the remaining layers run as fused GEMM +
+  /// bias + ReLU kernels in per-thread buffers. Every row is computed
+  /// independently of the rest of the batch, so all entry points below
+  /// return bit-identical values for the same (user, poi) pair, and a
+  /// warmed thread allocates only the returned vector. Scoring aborts
+  /// after ComputeGradients() until Fit()/Load()/ApplyDelta() marks the
+  /// parameters final again.
   double Score(UserId user, PoiId poi) const override;
 
-  /// Batched inference (the figure/table benchmarks' hot path): gathers all
-  /// candidate embeddings with one GatherRows, broadcasts the user row, and
-  /// runs the MLP tower as (batch, dim) matrix products. Returns exactly
-  /// the values per-pair Score() would — Score() delegates here.
+  /// Batched inference over one user's candidates (the figure/table
+  /// benchmarks' hot path). Score() delegates here.
   std::vector<double> ScoreBatch(UserId user,
                                  std::span<const PoiId> pois) const override;
 
-  /// Mixed-user batched inference (the serving micro-batcher's hot path):
-  /// gathers each pair's user and POI embedding rows into one (n, 2d) block
-  /// and runs the tower once. Because the MLP kernels compute every output
-  /// row independently of the rest of the batch, each returned value is
-  /// bit-identical to Score(users[i], pois[i]).
+  /// Mixed-user batched inference (the serving hot path). Each returned
+  /// value is bit-identical to Score(users[i], pois[i]).
   std::vector<double> ScorePairs(std::span<const UserId> users,
                                  std::span<const PoiId> pois) const override;
 
-  /// Scores pre-gathered (user, poi) embedding pairs: `h` is the (n, 2d)
-  /// block ScorePairs assembles internally — row i is [user_row | poi_row].
-  /// This is the tower half of the serving path when embedding lookup lives
-  /// behind an EmbeddingStore (possibly on remote shard servers): the store
-  /// gathers the rows, this scores them. Same kernels and scalar sigmoid as
-  /// ScorePairs, so for rows copied bit-exactly out of the tables the
-  /// results are bit-identical to ScorePairs on the same id pairs.
+  /// Scores pre-gathered (user, poi) embedding pairs: row i of the (n, 2d)
+  /// block `h` is [user_row | poi_row]. This is the tower half of the
+  /// serving path when embedding lookup lives behind an EmbeddingStore
+  /// (possibly on remote shard servers). Both layer-0 shares are computed
+  /// from `h` with the kernel that builds P, so for rows copied bit-exactly
+  /// out of the tables the results are bit-identical to ScorePairs.
   std::vector<double> ScoreGatheredPairs(const Tensor& h) const;
 
   /// Row-major learned embedding tables (after Fit()/Load()): the in-process
@@ -235,7 +243,9 @@ class StTransRec : public Recommender {
   TrainingBatch SampleBatch(Rng& rng) const;
 
   /// Runs forward/backward for `batch`, accumulating parameter gradients
-  /// (does not step). `rng` drives dropout.
+  /// (does not step). `rng` drives dropout. The parameters are about to
+  /// move, so this drops the precomputed POI share of layer 0 and scoring
+  /// is refused until the next Fit()/Load()/ApplyDelta().
   StepLosses ComputeGradients(const TrainingBatch& batch, Rng& rng);
 
   /// Applies and clears accumulated gradients.
@@ -292,6 +302,26 @@ class StTransRec : public Recommender {
  private:
   friend class ParallelTrainer;
 
+  /// Marks the parameters final (fitted_, params_final_) after they moved
+  /// wholesale; the POI share of layer 0 is rebuilt on the next score.
+  void MarkFitted();
+
+  /// Drops the POI share of layer 0 (the parameters moved).
+  void DropPoiLayer0();
+
+  /// The POI share of layer 0, built from the current tables on first use.
+  /// Thread-safe: concurrent first scorers publish it once.
+  const Tensor& PoiLayer0() const;
+
+  /// Rows [begin, end) of `p` = the same POI table rows · W0v.
+  void ComputePoiLayer0Rows(size_t begin, size_t end, Tensor& p) const;
+
+  /// Writes sigmoid(tower(users[i or 0], pois[i])) into out[i]: the one
+  /// inference function behind Score/ScoreBatch/ScorePairs. `users` holds
+  /// one id per POI, or a single id shared by all of them.
+  void ScoreInto(std::span<const UserId> users, std::span<const PoiId> pois,
+                 double* out) const;
+
   /// Shared body of Fit()/Resume(): Prepare, optionally restore from
   /// `resume_dir`, then train the remaining epochs with checkpointing.
   Status TrainInternal(const Dataset& dataset, const CrossCitySplit& split,
@@ -318,6 +348,19 @@ class StTransRec : public Recommender {
   std::unique_ptr<nn::Embedding> word_emb_;
   std::unique_ptr<nn::Mlp> mlp_;
   std::unique_ptr<nn::Adam> optimizer_;
+
+  /// False from ComputeGradients() until the parameters are final again.
+  bool params_final_ = false;
+
+  /// P = poi_table · W0v (num_pois, layer-0 width): the POI share of the
+  /// factorized layer 0. Built by the first score (PoiLayer0), so a model
+  /// that is only trained or held as a standby costs no memory for it;
+  /// ApplyDelta recomputes exactly the patched POI rows of a built P.
+  /// Published once under poi_layer0_mu_ (then poi_layer0_ready_), or
+  /// written by the non-const methods that own the model.
+  mutable Mutex poi_layer0_mu_;
+  mutable std::atomic<bool> poi_layer0_ready_{false};
+  mutable Tensor poi_layer0_;
 
   // Training state.
   std::vector<std::pair<int64_t, int64_t>> positives_;  // (user, poi)

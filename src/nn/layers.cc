@@ -1,5 +1,8 @@
 #include "nn/layers.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "tensor/tensor_ops.h"
 #include "util/check.h"
 
@@ -51,16 +54,44 @@ ag::Variable Mlp::Forward(const ag::Variable& x, bool training,
   return output_.Forward(h);
 }
 
-Tensor Mlp::InferenceForward(const Tensor& x) const {
-  Tensor h = x;
-  for (const Linear& layer : hidden_) {
-    auto params = layer.Parameters();
-    h = Relu(AddRowBroadcast(ParallelMatMul(h, params[0].value()),
-                             params[1].value()));
+void Mlp::Layer0Share(const float* x, size_t ldx, size_t n, size_t k,
+                      size_t w0_row, float* out) const {
+  const Tensor& w = layer0().weight();
+  STTR_CHECK_LE(w0_row + k, w.rows()) << "Layer0Share weight rows";
+  GemmInto(x, ldx, n, k, w.data() + w0_row * w.cols(), w.cols(), {}, out);
+}
+
+void Mlp::Layer0Finish(const float* share_a, const float* share_b,
+                       float* out) const {
+  const float* bias = layer0().bias().data();
+  const size_t m = layer0_width();
+  const bool relu = !hidden_.empty();
+  for (size_t j = 0; j < m; ++j) {
+    float v = share_a[j] + share_b[j];
+    v += bias[j];
+    if (relu && v < 0) v = 0;
+    out[j] = v;
   }
-  auto out_params = output_.Parameters();
-  return AddRowBroadcast(ParallelMatMul(h, out_params[0].value()),
-                         out_params[1].value());
+}
+
+const float* Mlp::InferenceForward(float* x, float* spare, size_t n) const {
+  if (hidden_.empty()) return x;  // layer 0 was the output layer
+  auto run = [&](const Linear& layer, bool relu) {
+    GemmInto(x, layer.in_dim(), n, layer.in_dim(), layer.weight().data(),
+             layer.out_dim(), GemmEpilogue{layer.bias().data(), relu}, spare);
+    std::swap(x, spare);
+  };
+  for (size_t l = 1; l < hidden_.size(); ++l) run(hidden_[l], /*relu=*/true);
+  run(output_, /*relu=*/false);
+  return x;
+}
+
+size_t Mlp::layer0_width() const { return layer0().out_dim(); }
+
+size_t Mlp::max_width() const {
+  size_t width = output_.out_dim();
+  for (const Linear& layer : hidden_) width = std::max(width, layer.out_dim());
+  return width;
 }
 
 std::vector<ag::Variable> Mlp::Parameters() const {

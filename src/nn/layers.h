@@ -43,6 +43,10 @@ class Linear : public Module {
   size_t in_dim() const { return weight_.value().rows(); }
   size_t out_dim() const { return weight_.value().cols(); }
 
+  /// Parameter values, read by inference without copying.
+  const Tensor& weight() const { return weight_.value(); }
+  const Tensor& bias() const { return bias_.value(); }
+
   std::vector<ag::Variable> Parameters() const override {
     return {weight_, bias_};
   }
@@ -66,17 +70,46 @@ class Mlp : public Module {
   /// Returns per-row logits with shape (batch, 1). `training` enables dropout.
   ag::Variable Forward(const ag::Variable& x, bool training, Rng& rng) const;
 
-  /// Inference-only forward: no autograd graph, no dropout. Runs the tower
-  /// as (batch, dim) matrix products through ParallelMatMul, so scoring a
-  /// whole candidate set is one pass of large GEMMs instead of `batch`
-  /// separate 1-row passes. Thread-safe (weights are read-only here).
-  Tensor InferenceForward(const Tensor& x) const;
+  // -- Inference (no autograd graph, no dropout; thread-safe, the weights
+  // are only read; allocates nothing) -------------------------------------
+  //
+  // Layer 0 is factorized: for an input made of column blocks [x_a | x_b],
+  // W0·[x_a; x_b] = W0a·x_a + W0b·x_b, so a block shared by many rows (or
+  // precomputable once per row of an embedding table) is multiplied once.
+
+  /// One input block's share of layer 0's pre-activation: x (n rows of k
+  /// floats, `ldx` floats apart) times rows [w0_row, w0_row + k) of layer
+  /// 0's weight, without bias, into `out` (n rows of layer0_width()).
+  void Layer0Share(const float* x, size_t ldx, size_t n, size_t k,
+                   size_t w0_row, float* out) const;
+
+  /// One row of layer 0's output from its two shares, per element in this
+  /// order: share_a + share_b, + bias, then ReLU (none when layer 0 is the
+  /// output layer). `out` may alias either share.
+  void Layer0Finish(const float* share_a, const float* share_b,
+                    float* out) const;
+
+  /// The tower after layer 0: `x` holds n rows of layer 0's output (width
+  /// layer0_width()). Runs every further layer as one fused GEMM + bias +
+  /// ReLU (GemmInto), ping-ponging between `x` and `spare`, which both hold
+  /// n * max_width() floats and are overwritten. Returns the n logits,
+  /// which live in `x` or `spare`.
+  const float* InferenceForward(float* x, float* spare, size_t n) const;
+
+  /// Output width of layer 0 (the first hidden layer, else the output).
+  size_t layer0_width() const;
+  /// Widest layer output: the row width the inference buffers need.
+  size_t max_width() const;
 
   size_t depth() const { return hidden_.size(); }
 
   std::vector<ag::Variable> Parameters() const override;
 
  private:
+  const Linear& layer0() const {
+    return hidden_.empty() ? output_ : hidden_.front();
+  }
+
   std::vector<Linear> hidden_;
   Linear output_;
   float dropout_rate_;

@@ -174,6 +174,17 @@ void EventLoop::Run() {
       STTR_LOG(Warning) << "epoll_wait: " << std::strerror(errno);
     }
 
+    // Drain the wake-up eventfd BEFORE taking the queues: a Complete() or
+    // AddConnection() that lands after the swap below then re-arms it and
+    // wakes the next epoll_wait. Draining after the swap would swallow that
+    // wake-up and strand the item until the next event or the timeout.
+    for (int i = 0; i < n; ++i) {
+      if (events_[static_cast<size_t>(i)].data.fd == event_fd_) {
+        uint64_t drained;
+        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
+        }
+      }
+    }
     {
       MutexLock lock(mu_);
       stopping = stopping_;
@@ -203,12 +214,7 @@ void EventLoop::Run() {
 
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events_[static_cast<size_t>(i)];
-      if (ev.data.fd == event_fd_) {
-        uint64_t drained;
-        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
+      if (ev.data.fd == event_fd_) continue;  // drained above
       Conn* conn = Lookup(ev.data.fd);
       if (conn == nullptr || conn->state == Conn::State::kClosed) continue;
       if ((ev.events & (EPOLLHUP | EPOLLERR)) != 0 &&

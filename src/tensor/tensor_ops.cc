@@ -26,12 +26,25 @@ constexpr size_t kQuadRows = 4;
 // Below this many multiply-adds the pool dispatch costs more than it saves.
 constexpr size_t kParallelFlopGrain = size_t{1} << 20;
 
+/// Writes one finished C element: the product, then `+ bias[j]`, then
+/// ReLU as `if (x < 0) x = 0` — the per-element operations, in the same
+/// order, that AddRowBroadcast and Relu apply, so fused results equal the
+/// unfused chain bit for bit.
+inline float Finish(float acc, const float* bias, size_t j, bool relu) {
+  float x = acc;
+  if (bias != nullptr) x += bias[j];
+  if (relu && x < 0) x = 0;
+  return x;
+}
+
 /// C[0..RT)[0..CT) = A(RT rows, k) * B(k, CT cols). Accumulates over the
 /// inner dimension in increasing order per element — the same per-element
 /// chain as the classic i-k-j loop, so blocking does not perturb results.
+/// `bias` points at this tile's first column's bias (or is null).
 template <size_t RT, size_t CT>
 inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
-                      float* c, size_t ldc, size_t k) {
+                      float* c, size_t ldc, size_t k, const float* bias,
+                      bool relu) {
   float acc[RT][CT] = {};
   for (size_t kk = 0; kk < k; ++kk) {
     const float* br = b + kk * ldb;
@@ -41,7 +54,9 @@ inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
     }
   }
   for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < CT; ++j) c[r * ldc + j] = acc[r][j];
+    for (size_t j = 0; j < CT; ++j) {
+      c[r * ldc + j] = Finish(acc[r][j], bias, j, relu);
+    }
   }
 }
 
@@ -49,7 +64,7 @@ inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
 template <size_t RT>
 inline void GemmMicroEdge(const float* a, size_t lda, const float* b,
                           size_t ldb, float* c, size_t ldc, size_t k,
-                          size_t jw) {
+                          size_t jw, const float* bias, bool relu) {
   float acc[RT][kColTile] = {};
   for (size_t kk = 0; kk < k; ++kk) {
     const float* br = b + kk * ldb;
@@ -59,33 +74,52 @@ inline void GemmMicroEdge(const float* a, size_t lda, const float* b,
     }
   }
   for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < jw; ++j) c[r * ldc + j] = acc[r][j];
+    for (size_t j = 0; j < jw; ++j) {
+      c[r * ldc + j] = Finish(acc[r][j], bias, j, relu);
+    }
   }
 }
 
-/// Blocked GEMM over C rows [i0, i1): the unit of work the parallel path
-/// shards. Column tiles are the outer loop so the strided B panel a tile
-/// touches stays cache-resident across the row sweep.
-void GemmRowRange(const float* a, const float* b, float* c, size_t i0,
-                  size_t i1, size_t k, size_t m) {
+/// One GemmInto call: the operands and the epilogue.
+struct GemmJob {
+  const float* a;
+  size_t lda;
+  size_t k;
+  const float* b;
+  size_t m;
+  GemmEpilogue epilogue;
+  float* c;
+};
+
+/// Blocked GEMM over C rows [i0, i1), epilogue included: the unit of work
+/// the parallel path shards. Column tiles are the outer loop so the strided
+/// B panel a tile touches stays cache-resident across the row sweep.
+void GemmRowRange(const GemmJob& job, size_t i0, size_t i1) {
+  const size_t k = job.k, m = job.m, lda = job.lda;
+  const bool relu = job.epilogue.relu;
   for (size_t j0 = 0; j0 < m; j0 += kColTile) {
     const size_t jw = std::min(kColTile, m - j0);
+    const float* b = job.b + j0;
+    const float* bias =
+        job.epilogue.bias != nullptr ? job.epilogue.bias + j0 : nullptr;
     size_t i = i0;
     if (jw == kColTile) {
       for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicro<kRowTile, kColTile>(a + i * k, k, b + j0, m, c + i * m + j0,
-                                      m, k);
+        GemmMicro<kRowTile, kColTile>(job.a + i * lda, lda, b, m,
+                                      job.c + i * m + j0, m, k, bias, relu);
       }
       for (; i < i1; ++i) {
-        GemmMicro<1, kColTile>(a + i * k, k, b + j0, m, c + i * m + j0, m, k);
+        GemmMicro<1, kColTile>(job.a + i * lda, lda, b, m, job.c + i * m + j0,
+                               m, k, bias, relu);
       }
     } else {
       for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicroEdge<kRowTile>(a + i * k, k, b + j0, m, c + i * m + j0, m, k,
-                                jw);
+        GemmMicroEdge<kRowTile>(job.a + i * lda, lda, b, m,
+                                job.c + i * m + j0, m, k, jw, bias, relu);
       }
       for (; i < i1; ++i) {
-        GemmMicroEdge<1>(a + i * k, k, b + j0, m, c + i * m + j0, m, k, jw);
+        GemmMicroEdge<1>(job.a + i * lda, lda, b, m, job.c + i * m + j0, m, k,
+                         jw, bias, relu);
       }
     }
   }
@@ -99,8 +133,29 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
   STTR_CHECK_EQ(k, b.rows()) << "MatMul inner dims";
   Tensor c({n, m});
-  GemmRowRange(a.data(), b.data(), c.data(), 0, n, k, m);
+  GemmRowRange(GemmJob{a.data(), k, k, b.data(), m, {}, c.data()}, 0, n);
   return c;
+}
+
+void GemmInto(const float* a, size_t lda, size_t n, size_t k, const float* w,
+              size_t m, GemmEpilogue epilogue, float* out) {
+  STTR_CHECK_GE(lda, k) << "GemmInto row stride";
+  const GemmJob job{a, lda, k, w, m, epilogue, out};
+  ThreadPool& pool = GlobalThreadPool();
+  if (n * k * m < kParallelFlopGrain || pool.num_threads() <= 1 ||
+      ThreadPool::InWorker()) {
+    GemmRowRange(job, 0, n);
+    return;
+  }
+  // Shard C rows in kRowTile multiples so every row goes through the same
+  // micro-kernel path it would take serially (bit-identical outputs). The
+  // shard callable captures one pointer, so dispatch does not allocate.
+  const size_t grain = std::max<size_t>(
+      kRowTile, (n / (4 * pool.num_threads())) & ~(kRowTile - 1));
+  const GemmJob* shared = &job;
+  pool.ParallelForChunked(n, grain, [shared](size_t begin, size_t end) {
+    GemmRowRange(*shared, begin, end);
+  });
 }
 
 Tensor ParallelMatMul(const Tensor& a, const Tensor& b) {
@@ -109,19 +164,7 @@ Tensor ParallelMatMul(const Tensor& a, const Tensor& b) {
   const size_t n = a.rows(), k = a.cols(), m = b.cols();
   STTR_CHECK_EQ(k, b.rows()) << "ParallelMatMul inner dims";
   Tensor c({n, m});
-  ThreadPool& pool = GlobalThreadPool();
-  if (n * k * m < kParallelFlopGrain || pool.num_threads() <= 1 ||
-      ThreadPool::InWorker()) {
-    GemmRowRange(a.data(), b.data(), c.data(), 0, n, k, m);
-    return c;
-  }
-  // Shard C rows in kRowTile multiples so every row goes through the same
-  // micro-kernel path it would take serially (bit-identical outputs).
-  size_t grain = std::max<size_t>(
-      kRowTile, (n / (4 * pool.num_threads())) & ~(kRowTile - 1));
-  pool.ParallelForChunked(n, grain, [&](size_t begin, size_t end) {
-    GemmRowRange(a.data(), b.data(), c.data(), begin, end, k, m);
-  });
+  GemmInto(a.data(), k, n, k, b.data(), m, {}, c.data());
   return c;
 }
 
@@ -140,8 +183,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
     const float* ar[kQuadRows];
     const float* br[kQuadRows];
     for (size_t r = 0; r < kQuadRows; ++r) {
-      ar[r] = a.row(i + r);
-      br[r] = b.row(i + r);
+      ar[r] = a.data() + (i + r) * k;
+      br[r] = b.data() + (i + r) * m;
     }
     for (size_t kk = 0; kk < k; ++kk) {
       float* crow = cd + kk * m;
@@ -158,8 +201,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
     }
   }
   for (; i < n; ++i) {
-    const float* arow = a.row(i);
-    const float* brow = b.row(i);
+    const float* arow = a.data() + i * k;
+    const float* brow = b.data() + i * m;
     for (size_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
       float* crow = cd + kk * m;
@@ -177,6 +220,9 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   Tensor c({n, m});
   // Row-on-row dot products; a kQuadRows x kQuadRows register tile reuses
   // every A and B row load kQuadRows times. Double accumulators as before.
+  const float* ad = a.data();
+  const float* bd = b.data();
+  float* cd = c.data();
   size_t i = 0;
   for (; i + kQuadRows <= n; i += kQuadRows) {
     size_t j = 0;
@@ -184,8 +230,8 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
       double acc[kQuadRows][kQuadRows] = {};
       for (size_t kk = 0; kk < k; ++kk) {
         float avs[kQuadRows], bvs[kQuadRows];
-        for (size_t r = 0; r < kQuadRows; ++r) avs[r] = a.row(i + r)[kk];
-        for (size_t s = 0; s < kQuadRows; ++s) bvs[s] = b.row(j + s)[kk];
+        for (size_t r = 0; r < kQuadRows; ++r) avs[r] = ad[(i + r) * k + kk];
+        for (size_t s = 0; s < kQuadRows; ++s) bvs[s] = bd[(j + s) * k + kk];
         for (size_t r = 0; r < kQuadRows; ++r) {
           for (size_t s = 0; s < kQuadRows; ++s) {
             acc[r][s] += static_cast<double>(avs[r]) * bvs[s];
@@ -194,27 +240,27 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
       }
       for (size_t r = 0; r < kQuadRows; ++r) {
         for (size_t s = 0; s < kQuadRows; ++s) {
-          c.row(i + r)[j + s] = static_cast<float>(acc[r][s]);
+          cd[(i + r) * m + j + s] = static_cast<float>(acc[r][s]);
         }
       }
     }
     for (; j < m; ++j) {
-      const float* brow = b.row(j);
+      const float* brow = bd + j * k;
       for (size_t r = 0; r < kQuadRows; ++r) {
-        const float* arow = a.row(i + r);
+        const float* arow = ad + (i + r) * k;
         double s = 0;
         for (size_t kk = 0; kk < k; ++kk) {
           s += static_cast<double>(arow[kk]) * brow[kk];
         }
-        c.row(i + r)[j] = static_cast<float>(s);
+        cd[(i + r) * m + j] = static_cast<float>(s);
       }
     }
   }
   for (; i < n; ++i) {
-    const float* arow = a.row(i);
-    float* crow = c.row(i);
+    const float* arow = ad + i * k;
+    float* crow = cd + i * m;
     for (size_t j = 0; j < m; ++j) {
-      const float* brow = b.row(j);
+      const float* brow = bd + j * k;
       double s = 0;
       for (size_t kk = 0; kk < k; ++kk) {
         s += static_cast<double>(arow[kk]) * brow[kk];
@@ -242,7 +288,9 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   STTR_CHECK(a.SameShape(b));
   Tensor out = a;
-  for (size_t i = 0; i < out.size(); ++i) out[i] *= b[i];
+  float* o = out.data();
+  const float* bd = b.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] *= bd[i];
   return out;
 }
 
@@ -257,9 +305,10 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
   const size_t n = x.rows(), m = x.cols();
   STTR_CHECK_EQ(bias.size(), m) << "bias size must match columns";
   Tensor out = x;
+  const float* b = bias.data();
   for (size_t i = 0; i < n; ++i) {
-    float* row = out.row(i);
-    for (size_t j = 0; j < m; ++j) row[j] += bias[j];
+    float* row = out.data() + i * m;
+    for (size_t j = 0; j < m; ++j) row[j] += b[j];
   }
   return out;
 }
@@ -268,9 +317,10 @@ Tensor ColSum(const Tensor& x) {
   STTR_CHECK_EQ(x.ndim(), 2u);
   const size_t n = x.rows(), m = x.cols();
   Tensor out({m});
+  float* o = out.data();
   for (size_t i = 0; i < n; ++i) {
-    const float* row = x.row(i);
-    for (size_t j = 0; j < m; ++j) out[j] += row[j];
+    const float* row = x.data() + i * m;
+    for (size_t j = 0; j < m; ++j) o[j] += row[j];
   }
   return out;
 }
@@ -281,11 +331,11 @@ Tensor RowwiseDot(const Tensor& a, const Tensor& b) {
   const size_t n = a.rows(), d = a.cols();
   Tensor out({n});
   for (size_t i = 0; i < n; ++i) {
-    const float* ra = a.row(i);
-    const float* rb = b.row(i);
+    const float* ra = a.data() + i * d;
+    const float* rb = b.data() + i * d;
     double s = 0;
     for (size_t j = 0; j < d; ++j) s += static_cast<double>(ra[j]) * rb[j];
-    out[i] = static_cast<float>(s);
+    out.data()[i] = static_cast<float>(s);
   }
   return out;
 }
@@ -297,9 +347,9 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   const size_t n = a.rows(), p = a.cols(), q = b.cols();
   Tensor out({n, p + q});
   for (size_t i = 0; i < n; ++i) {
-    float* dst = out.row(i);
-    const float* ra = a.row(i);
-    const float* rb = b.row(i);
+    float* dst = out.data() + i * (p + q);
+    const float* ra = a.data() + i * p;
+    const float* rb = b.data() + i * q;
     for (size_t j = 0; j < p; ++j) dst[j] = ra[j];
     for (size_t j = 0; j < q; ++j) dst[p + j] = rb[j];
   }
@@ -310,11 +360,11 @@ Tensor SliceCols(const Tensor& x, size_t begin, size_t end) {
   STTR_CHECK_EQ(x.ndim(), 2u);
   STTR_CHECK_LE(begin, end);
   STTR_CHECK_LE(end, x.cols());
-  const size_t n = x.rows(), m = end - begin;
+  const size_t n = x.rows(), w = x.cols(), m = end - begin;
   Tensor out({n, m});
   for (size_t i = 0; i < n; ++i) {
-    const float* src = x.row(i) + begin;
-    float* dst = out.row(i);
+    const float* src = x.data() + i * w + begin;
+    float* dst = out.data() + i * m;
     for (size_t j = 0; j < m; ++j) dst[j] = src[j];
   }
   return out;
@@ -322,14 +372,14 @@ Tensor SliceCols(const Tensor& x, size_t begin, size_t end) {
 
 Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& indices) {
   STTR_CHECK_EQ(table.ndim(), 2u);
-  const size_t d = table.cols();
+  const size_t d = table.cols(), rows = table.rows();
   Tensor out({indices.size(), d});
   for (size_t i = 0; i < indices.size(); ++i) {
     const int64_t r = indices[i];
     STTR_CHECK_GE(r, 0);
-    STTR_CHECK_LT(static_cast<size_t>(r), table.rows());
-    const float* src = table.row(static_cast<size_t>(r));
-    float* dst = out.row(i);
+    STTR_CHECK_LT(static_cast<size_t>(r), rows);
+    const float* src = table.data() + static_cast<size_t>(r) * d;
+    float* dst = out.data() + i * d;
     for (size_t j = 0; j < d; ++j) dst[j] = src[j];
   }
   return out;
@@ -341,21 +391,22 @@ void ScatterRowsAdd(Tensor& dest, const std::vector<int64_t>& indices,
   STTR_CHECK_EQ(src.ndim(), 2u);
   STTR_CHECK_EQ(src.rows(), indices.size());
   STTR_CHECK_EQ(src.cols(), dest.cols());
-  const size_t d = dest.cols();
+  const size_t d = dest.cols(), rows = dest.rows();
   for (size_t i = 0; i < indices.size(); ++i) {
     const int64_t r = indices[i];
     STTR_CHECK_GE(r, 0);
-    STTR_CHECK_LT(static_cast<size_t>(r), dest.rows());
-    float* dst = dest.row(static_cast<size_t>(r));
-    const float* s = src.row(i);
+    STTR_CHECK_LT(static_cast<size_t>(r), rows);
+    float* dst = dest.data() + static_cast<size_t>(r) * d;
+    const float* s = src.data() + i * d;
     for (size_t j = 0; j < d; ++j) dst[j] += s[j];
   }
 }
 
 Tensor Relu(const Tensor& x) {
   Tensor out = x;
+  float* o = out.data();
   for (size_t i = 0; i < out.size(); ++i) {
-    if (out[i] < 0) out[i] = 0;
+    if (o[i] < 0) o[i] = 0;
   }
   return out;
 }
@@ -372,7 +423,8 @@ Tensor Sigmoid(const Tensor& x) {
 
 Tensor TanhT(const Tensor& x) {
   Tensor out = x;
-  for (size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
+  float* o = out.data();
+  for (size_t i = 0; i < out.size(); ++i) o[i] = std::tanh(o[i]);
   return out;
 }
 

@@ -23,6 +23,25 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// is bit-identical to MatMul().
 Tensor ParallelMatMul(const Tensor& a, const Tensor& b);
 
+/// Per-element operations fused after a GemmInto product, applied in this
+/// order: `+ bias[j]`, then ReLU as `if (x < 0) x = 0`. These are exactly
+/// AddRowBroadcast's and Relu's operations, so a fused result equals
+/// Relu(AddRowBroadcast(ParallelMatMul(a, w), bias)) bit for bit.
+struct GemmEpilogue {
+  /// m column biases, or null for none.
+  const float* bias = nullptr;
+  bool relu = false;
+};
+
+/// out(n,m) = epilogue(A(n,k) * W(k,m)) into caller-owned storage (row
+/// stride m), allocating nothing. Row i of A starts at a + i*lda (lda >= k),
+/// so a column block of a wider matrix can be the left operand. Shards rows
+/// across GlobalThreadPool() under the same rule as ParallelMatMul, and each
+/// shard applies the epilogue to its rows as it finishes them; results are
+/// bit-identical to the serial kernel.
+void GemmInto(const float* a, size_t lda, size_t n, size_t k, const float* w,
+              size_t m, GemmEpilogue epilogue, float* out);
+
 /// C = A^T(n,k)^T * B(n,m) = (k,m). Used for dW in linear backward.
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 

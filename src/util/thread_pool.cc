@@ -12,6 +12,10 @@ namespace {
 
 thread_local bool t_in_worker = false;
 
+// Consumed queue slots tolerated before a queue that never drains is
+// compacted.
+constexpr size_t kQueueCompactAt = 1024;
+
 }  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -37,7 +41,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
     STTR_CHECK(!shutting_down_) << "Submit() after shutdown";
-    queue_.push(std::move(task));
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.NotifyOne();
@@ -68,10 +72,28 @@ void ThreadPool::ParallelForChunked(
     fn(0, n);
     return;
   }
-  for (size_t begin = 0; begin < n; begin += grain) {
-    const size_t end = std::min(n, begin + grain);
-    Submit([begin, end, &fn] { fn(begin, end); });
+  // Each task captures two words, which std::function stores inline, and
+  // the queue is reserved for all chunks at once: a pool whose queue has
+  // reached this call's size dispatches without allocating.
+  struct Range {
+    const std::function<void(size_t, size_t)>* fn;
+    size_t n;
+    size_t grain;
+  };
+  const Range range{&fn, n, grain};
+  const size_t chunks = (n + grain - 1) / grain;
+  {
+    MutexLock lock(mu_);
+    STTR_CHECK(!shutting_down_) << "ParallelForChunked() after shutdown";
+    queue_.reserve(queue_.size() + chunks);
+    for (size_t begin = 0; begin < n; begin += grain) {
+      queue_.push_back([r = &range, begin] {
+        (*r->fn)(begin, std::min(r->n, begin + r->grain));
+      });
+    }
+    in_flight_ += chunks;
   }
+  work_available_.NotifyAll();
   Wait();
 }
 
@@ -81,13 +103,26 @@ void ThreadPool::WorkerLoop() {
     std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!shutting_down_ && queue_.empty()) work_available_.Wait(mu_);
-      if (queue_.empty()) {
+      while (!shutting_down_ && queue_head_ == queue_.size()) {
+        work_available_.Wait(mu_);
+      }
+      if (queue_head_ == queue_.size()) {
         if (shutting_down_) return;
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop();
+      task = std::move(queue_[queue_head_++]);
+      if (queue_head_ == queue_.size()) {
+        // Drained: rewind, keeping the capacity for the next burst.
+        queue_.clear();
+        queue_head_ = 0;
+      } else if (queue_head_ >= kQueueCompactAt &&
+                 2 * queue_head_ >= queue_.size()) {
+        // Never drained under sustained submission: drop the consumed
+        // prefix so the vector stays bounded by the pending backlog.
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(queue_head_));
+        queue_head_ = 0;
+      }
     }
     task();
     {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -60,7 +59,11 @@ class ThreadPool {
 
   std::vector<std::thread> threads_;
   Mutex mu_;
-  std::queue<std::function<void()>> queue_ GUARDED_BY(mu_);
+  /// Pending tasks are [queue_head_, queue_.size()). The vector is rewound
+  /// whenever it drains, so it grows to its high-water mark and steady
+  /// Submit/run cycles stop allocating.
+  std::vector<std::function<void()>> queue_ GUARDED_BY(mu_);
+  size_t queue_head_ GUARDED_BY(mu_) = 0;
   CondVar work_available_;
   CondVar all_done_;
   size_t in_flight_ GUARDED_BY(mu_) = 0;

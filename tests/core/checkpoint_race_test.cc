@@ -16,17 +16,13 @@
 
 #include "core/checkpoint.h"
 #include "util/fs.h"
+#include "scratch_dir.h"
 
 namespace sttr {
 namespace {
 
 std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_ckpt_race_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_ckpt_race");
 }
 
 /// A small but real checkpoint container whose payload encodes its epoch.

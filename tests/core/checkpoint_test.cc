@@ -7,16 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.h"
+
 namespace sttr {
 namespace {
 
 std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_ckpt_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_ckpt");
 }
 
 TEST(Crc32Test, MatchesKnownCheckValue) {

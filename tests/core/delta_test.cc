@@ -12,18 +12,13 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "scratch_dir.h"
 
 namespace sttr {
 namespace {
 
 std::string DeltaTestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_delta_") + info->test_suite_name() + "_" +
-         info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_delta");
 }
 
 /// A fully populated delta with distinct content per table.

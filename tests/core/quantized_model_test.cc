@@ -17,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
+#include "scratch_dir.h"
 
 namespace sttr {
 namespace {
@@ -44,13 +45,7 @@ StTransRecConfig SmallConfig() {
 }
 
 std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_quant_") + info->test_suite_name() + "_" +
-         info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_quant");
 }
 
 /// All (test user, target-city POI) pairs, the serving workload.

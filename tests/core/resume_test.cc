@@ -15,17 +15,13 @@
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
 #include "util/fault_injection.h"
+#include "scratch_dir.h"
 
 namespace sttr {
 namespace {
 
 std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_resume_") + info->name();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_resume");
 }
 
 struct Fixture {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synth/world_generator.h"
+#include "scratch_dir.h"
 
 namespace sttr {
 namespace {
@@ -14,11 +15,7 @@ namespace {
 // Per-test directory: the fixed dataset filenames would otherwise collide
 // when ctest -j runs several DatasetIoTest cases concurrently.
 std::string TestDir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= std::string("sttr_io_") + info->name();
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_io");
 }
 
 TEST(DatasetIoTest, PathsInDirectory) {

@@ -376,6 +376,48 @@ TEST(EventLoopTest, AsyncCompletionFromAnotherThreadWritesResponse) {
   }
 }
 
+TEST(EventLoopTest, PipelinedAsyncCompletionsNeverWaitForTheTimeout) {
+  // Completions land from another thread while the loop is mid-iteration.
+  // Every one must wake the loop: a lost wake-up leaves the response parked
+  // until epoll_wait's 100 ms timeout.
+  constexpr int kConns = 4;
+  constexpr int kRequests = 500;
+  AsyncEcho async(std::chrono::milliseconds(0));
+  LoopHarness harness(EventLoop::Options{}, async.handler());
+  async.set_loop(&harness.loop());
+  std::atomic<int64_t> worst_gap_us{0};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.emplace_back([&] {
+      Client client(harness.port());
+      std::string burst;
+      for (int i = 0; i < kRequests; ++i) {
+        burst += "GET /p HTTP/1.1\r\n\r\n";
+      }
+      client.Send(burst);
+      auto last = std::chrono::steady_clock::now();
+      for (int i = 0; i < kRequests; ++i) {
+        const auto r = client.Read();
+        const auto now = std::chrono::steady_clock::now();
+        const int64_t gap_us =
+            std::chrono::duration_cast<std::chrono::microseconds>(now - last)
+                .count();
+        last = now;
+        int64_t prev = worst_gap_us.load();
+        while (gap_us > prev &&
+               !worst_gap_us.compare_exchange_weak(prev, gap_us)) {
+        }
+        if (r.status == 200 && r.body == "async-done") ++answered;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(answered.load(), kConns * kRequests);
+  EXPECT_LT(worst_gap_us.load(), 50'000)
+      << "a response waited for the epoll_wait timeout";
+}
+
 TEST(EventLoopTest, StopDrainsInFlightAsyncRequests) {
   // Shutdown must not drop a request already handed to a worker: the client
   // gets the full response (Connection mirrors the request's keep-alive,

@@ -10,28 +10,14 @@
 #include "core/st_transrec.h"
 #include "data/split.h"
 #include "data/synth/world_generator.h"
+#include "scratch_dir.h"
 
 namespace sttr::serve {
 
-/// Per-test scratch directory under the gtest temp dir, wiped on entry.
-/// Outside a test body (e.g. SetUpTestSuite) current_test_info() is null, so
-/// fall back to the suite name.
+/// Per-test scratch directory private to this process (outside a test
+/// body, e.g. in SetUpTestSuite, one per suite). See ScratchDir.
 inline std::string ServeTestDir() {
-  const auto* unit = ::testing::UnitTest::GetInstance();
-  const auto* info = unit->current_test_info();
-  std::string leaf;
-  if (info != nullptr) {
-    leaf = std::string(info->test_suite_name()) + "_" + info->name();
-  } else if (unit->current_test_suite() != nullptr) {
-    leaf = std::string(unit->current_test_suite()->name()) + "_suite";
-  } else {
-    leaf = "suite";
-  }
-  std::filesystem::path dir = ::testing::TempDir();
-  dir /= "sttr_serve_" + leaf;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
+  return testing_util::TestScratchDir("sttr_serve");
 }
 
 struct ServeFixture {

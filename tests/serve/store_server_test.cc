@@ -6,10 +6,8 @@
 // with a reason, counters in /statz, and no degraded entry ever poisoning
 // the result cache.
 
-#include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -54,15 +52,7 @@ class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
-    // Not ServeTestDir(): in suite setup that resolves to a suite-named
-    // directory shared by every concurrently running ctest process of this
-    // suite, and its wipe-on-entry would nuke a sibling's checkpoints
-    // mid-load. Keyed by pid instead.
-    std::filesystem::path dir = ::testing::TempDir();
-    dir /= "sttr_store_server_" + std::to_string(::getpid());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    ckpt_dir_ = new std::string(dir.string());
+    ckpt_dir_ = new std::string(ServeTestDir());
     trainer_ = new std::shared_ptr<StTransRec>(
         TrainSmallModel(*fixture_, *ckpt_dir_));
   }

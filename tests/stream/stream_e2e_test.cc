@@ -174,6 +174,63 @@ TEST_F(StreamE2ETest, IngestDeltaServeMatchesOfflineRetrainBitForBit) {
   EXPECT_NE(before, after);
 }
 
+TEST_F(StreamE2ETest, SuccessiveDeltasServeExactlyAFreshlyPatchedModel) {
+  // The double-buffered instances alternate: each one is served (which
+  // builds its precomputed layer 0), then patched again two deltas later
+  // (which recomputes only the patched rows of it). Its scores must stay
+  // those of a model that loads the base and applies the newest delta.
+  auto bundle = MakeBundle(dir_ + "/deltas");
+  const std::string base_path = bundle->snapshot()->checkpoint_path;
+  auto stream_model = MakeStreamModel();
+  IncrementalTrainerConfig tcfg;
+  tcfg.delta_dir = dir_ + "/deltas";
+  IncrementalTrainer trainer(tcfg);
+  ASSERT_TRUE(
+      trainer.Init(stream_model.get(), fixture_.world.dataset, base_path)
+          .ok());
+
+  std::string base_params;
+  {
+    StatusOr<CheckpointReader> reader =
+        CheckpointReader::Open(*Env::Default(), base_path);
+    ASSERT_TRUE(reader.ok());
+    StatusOr<std::string> params = reader->Section("model");
+    ASSERT_TRUE(params.ok());
+    base_params = *params;
+  }
+  std::vector<UserId> users;
+  std::vector<PoiId> pois;
+  const std::vector<PoiId>& city =
+      fixture_.world.dataset.PoisInCity(fixture_.split.target_city);
+  for (const CrossCitySplit::TestUser& tu : fixture_.split.test_users) {
+    for (PoiId p : city) {
+      users.push_back(tu.user);
+      pois.push_back(p);
+    }
+  }
+
+  constexpr size_t kWindow = 8;
+  const std::vector<CheckinEvent> events = Events(4 * kWindow);
+  for (size_t round = 0; round < 4; ++round) {
+    ASSERT_TRUE(trainer
+                    .TrainWindow(std::span<const CheckinEvent>(
+                        events.data() + round * kWindow, kWindow))
+                    .ok());
+    ASSERT_TRUE(trainer.PublishDelta().ok());
+    StatusOr<bool> applied = bundle->ApplyDeltaIfNewer();
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ASSERT_TRUE(*applied) << "round " << round;
+    const std::vector<double> served =
+        bundle->snapshot()->scorer->ScorePairs(users, pois);
+
+    auto fresh = MakeStreamModel();
+    std::istringstream in(base_params);
+    ASSERT_TRUE(fresh->Load(in).ok());
+    ASSERT_TRUE(fresh->ApplyDelta(trainer.BuildDelta()).ok());
+    ASSERT_EQ(served, fresh->ScorePairs(users, pois)) << "round " << round;
+  }
+}
+
 TEST_F(StreamE2ETest, StaleAndForeignDeltasAreRefused) {
   auto bundle = MakeBundle(dir_ + "/deltas");
   const std::string base_path = bundle->snapshot()->checkpoint_path;

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sttr {
 namespace {
@@ -158,6 +161,58 @@ TEST(ParallelMatMulTest, RaggedShapeAboveGrain) {
   }
   EXPECT_TRUE(serial.AllClose(Naive(a, b), 1e-3, 1e-4));
 }
+
+// The fused epilogue against the unfused chain it replaces, over row counts
+// around the 8-row tile (and a full serving candidate set) and column
+// counts around the 32-wide tile.
+class GemmIntoTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+TEST_P(GemmIntoTest, FusedBiasReluEqualsUnfusedChainBitForBit) {
+  const size_t n = std::get<0>(GetParam());
+  const size_t m = std::get<1>(GetParam());
+  const size_t k = 64;
+  Rng rng(17 + n + m);
+  // Operands are the right half of a (n, 2k) block (lda = 2k), as in the
+  // factorized layer 0.
+  const Tensor wide = Tensor::RandomNormal({n, 2 * k}, rng);
+  const Tensor a = SliceCols(wide, k, 2 * k);
+  const Tensor w = Tensor::RandomNormal({k, m}, rng);
+  const Tensor bias = Tensor::RandomNormal({m}, rng);
+  const Tensor product = ParallelMatMul(a, w);
+  const Tensor with_bias = AddRowBroadcast(product, bias);
+  const Tensor with_relu = Relu(with_bias);
+
+  struct Case {
+    GemmEpilogue epilogue;
+    const Tensor* want;
+  };
+  const Case cases[] = {{{}, &product},
+                        {{bias.data(), false}, &with_bias},
+                        {{bias.data(), true}, &with_relu}};
+  for (const Case& c : cases) {
+    std::vector<float> pooled(n * m, -1.0f);
+    GemmInto(wide.data() + k, 2 * k, n, k, w.data(), m, c.epilogue,
+             pooled.data());
+    // On a pool worker GemmInto takes its serial path at every size.
+    std::vector<float> serial(n * m, -1.0f);
+    ThreadPool one(1);
+    one.Submit([&] {
+      GemmInto(wide.data() + k, 2 * k, n, k, w.data(), m, c.epilogue,
+               serial.data());
+    });
+    one.Wait();
+    for (size_t i = 0; i < n * m; ++i) {
+      ASSERT_EQ(pooled[i], c.want->data()[i]) << "pooled, element " << i;
+      ASSERT_EQ(serial[i], c.want->data()[i]) << "serial, element " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GemmIntoTest,
+    ::testing::Combine(::testing::Values(1, 7, 8, 9, 8790),
+                       ::testing::Values(1, 16, 32, 33, 128)));
 
 TEST(MatMulTest, ShapeMismatchAborts) {
   Tensor a({2, 3});

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.h"
+
 namespace sttr {
 namespace {
 
@@ -87,7 +89,8 @@ TEST(SvgChartTest, SizeAppearsInDocument) {
 TEST(SvgChartTest, WriteToRoundTrip) {
   SvgLineChart chart("file", "x", "y");
   chart.AddSeries("s", {0, 1}, {0, 1});
-  const std::string path = ::testing::TempDir() + "/chart_test.svg";
+  const std::string path =
+      testing_util::ScratchDir("sttr_svg_chart") + "/chart_test.svg";
   ASSERT_TRUE(chart.WriteTo(path).ok());
   std::ifstream in(path);
   std::string content((std::istreambuf_iterator<char>(in)),

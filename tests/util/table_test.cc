@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.h"
+
 namespace sttr {
 namespace {
 
@@ -30,7 +32,8 @@ TEST(TextTableTest, CsvRendering) {
 TEST(TextTableTest, WriteCsvRoundTrip) {
   TextTable t({"x"});
   t.AddRow({"hello"});
-  const std::string path = ::testing::TempDir() + "/table_test.csv";
+  const std::string path =
+      testing_util::ScratchDir("sttr_table") + "/table_test.csv";
   ASSERT_TRUE(t.WriteCsv(path).ok());
   std::ifstream in(path);
   std::string line;
