@@ -86,10 +86,14 @@ int Main(int argc, char** argv) {
   struct Shape {
     size_t n, k, m;
   };
-  // 512^3 is the acceptance shape; the others are the MLP tower's first
-  // layer on a ~100-candidate eval batch and a training-sized batch.
+  // 512^3 is the acceptance shape; the next two are the MLP tower's first
+  // layer on a ~100-candidate eval batch and a training-sized batch. The
+  // last four are the paper-scale tower after the factorized layer 0
+  // (128->64->32->16->1) on one cold /recommend's 8,790 candidates: the
+  // narrow ones exercise the 16-, 8-, 4-, 2- and 1-column strips.
   const std::vector<Shape> shapes = {
-      {106, 128, 128}, {640, 128, 128}, {256, 256, 256}, {512, 512, 512}};
+      {106, 128, 128}, {640, 128, 128}, {256, 256, 256}, {512, 512, 512},
+      {8790, 128, 64}, {8790, 64, 32},  {8790, 32, 16},   {8790, 16, 1}};
 
   std::cout << "[micro_matmul] threads=" << threads << " reps=" << reps
             << "\n";

@@ -20,13 +20,14 @@ CandidateIndex::CandidateIndex(const Dataset& dataset,
     index.grid = std::make_unique<GridIndex>(dataset.city(c).box,
                                              config_.grid_rows,
                                              config_.grid_cols);
-    index.cell_pois.resize(index.grid->NumCells());
-    for (PoiId v : dataset.PoisInCity(c)) {
-      index.cell_pois[index.grid->CellOf(dataset.poi(v).location)]
-          .push_back(v);
-    }
-    for (auto& bucket : index.cell_pois) {
-      std::sort(bucket.begin(), bucket.end());
+    index.pois = dataset.PoisInCity(c);
+    std::sort(index.pois.begin(), index.pois.end());
+    index.poi_cell.reserve(index.pois.size());
+    index.cell_count.assign(index.grid->NumCells(), 0);
+    for (PoiId v : index.pois) {
+      const size_t cell = index.grid->CellOf(dataset.poi(v).location);
+      index.poi_cell.push_back(static_cast<uint32_t>(cell));
+      ++index.cell_count[cell];
     }
 
     if (config_.use_regions) {
@@ -102,8 +103,7 @@ void CandidateIndex::CandidatesInto(CityId city, const GeoPoint& loc,
   std::vector<char>& region_taken = scratch->region_taken;
   cell_taken.assign(grid.NumCells(), 0);
   region_taken.assign(index.region_cells.size(), 0);
-  std::vector<PoiId>& out = *out_ptr;
-  out.clear();
+  size_t taken = 0;  // POIs in the marked cells
 
   const auto take_cell = [&](size_t cell) {
     // Pull in the cell's whole region, so a region straddling the ring
@@ -114,8 +114,7 @@ void CandidateIndex::CandidatesInto(CityId city, const GeoPoint& loc,
     for (size_t member : index.region_cells[static_cast<size_t>(region)]) {
       if (cell_taken[member]) continue;
       cell_taken[member] = 1;
-      const auto& bucket = index.cell_pois[member];
-      out.insert(out.end(), bucket.begin(), bucket.end());
+      taken += index.cell_count[member];
     }
   };
 
@@ -136,10 +135,15 @@ void CandidateIndex::CandidatesInto(CityId city, const GeoPoint& loc,
     }
     // Stop only at ring boundaries: the candidate set is then a function of
     // (city, origin cell) alone, independent of cell iteration order.
-    if (out.size() >= target) break;
+    if (taken >= target) break;
   }
 
-  std::sort(out.begin(), out.end());
+  // One pass in id order: the output is sorted by construction.
+  std::vector<PoiId>& out = *out_ptr;
+  out.clear();
+  for (size_t i = 0; i < index.pois.size(); ++i) {
+    if (cell_taken[index.poi_cell[i]]) out.push_back(index.pois[i]);
+  }
 }
 
 }  // namespace sttr::serve

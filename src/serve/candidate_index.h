@@ -37,9 +37,11 @@ struct CandidateIndexConfig {
 /// Candidate generation expands grid rings (Chebyshev distance 0, 1, 2, ...)
 /// around the query cell, unioning in each touched cell's whole region, and
 /// stops at the first ring boundary where at least `min_candidates` POIs
-/// have been collected. Results are sorted by POI id, so a candidate set is
-/// a deterministic function of (city, cell) alone — which is what makes
-/// per-cell result caching sound.
+/// have been collected. The expansion only marks cells and sums their POI
+/// counts; the list is then one scan of the city's POIs in id order, keeping
+/// those in a marked cell. So a result is sorted by POI id without a sort,
+/// and a candidate set is a deterministic function of (city, cell) alone —
+/// which is what makes per-cell result caching sound.
 class CandidateIndex {
  public:
   /// Builds per-city grids, cell -> POI buckets and (optionally) region
@@ -80,8 +82,11 @@ class CandidateIndex {
  private:
   struct CityIndex {
     std::unique_ptr<GridIndex> grid;
-    /// POI ids per cell, each bucket sorted ascending.
-    std::vector<std::vector<PoiId>> cell_pois;
+    /// The city's POIs in ascending id order, and the grid cell of each.
+    std::vector<PoiId> pois;
+    std::vector<uint32_t> poi_cell;
+    /// Number of the city's POIs in each cell.
+    std::vector<size_t> cell_count;
     /// Dense region id per cell (identity when use_regions is false).
     std::vector<int> cell_to_region;
     std::vector<std::vector<size_t>> region_cells;

@@ -10,14 +10,18 @@ namespace sttr {
 
 namespace {
 
-// GEMM tile sizes. The micro-kernel computes a kRowTile x kColTile block of
-// C in local accumulators (register-resident after unrolling), so every B
-// element loaded is reused kRowTile times and C is written exactly once
-// instead of once per inner-dimension step. 8x32 measured fastest here:
-// narrower column tiles trip GCC's vectoriser cost model with runtime
-// strides and fall back to 128-bit vectors (see bench/micro_matmul).
+// GEMM tiling. The micro-kernel computes an RT x CT block of C in
+// register accumulators, so every B element loaded is reused RT times and C
+// is written exactly once. Full kColTile-wide strips (two vector registers
+// per row) cover the columns first; the remainder is covered by
+// power-of-two strips of half that width down to 1 column, so every strip
+// width is a compile-time constant and the narrow tower layers (32->16,
+// 16->1) run as straight-line vector code instead of a loop over a run-time
+// width. Tiling never changes a result: every C element is the same MulAdd
+// chain over increasing k (tensor_ops.h).
+
+// Largest row tile, and the multiple pool shards are cut in.
 constexpr size_t kRowTile = 8;
-constexpr size_t kColTile = 32;
 
 // Row unroll of the transposed products below (their inner loops hardcode
 // four-way register blocking, independent of the main GEMM tile).
@@ -26,56 +30,153 @@ constexpr size_t kQuadRows = 4;
 // Below this many multiply-adds the pool dispatch costs more than it saves.
 constexpr size_t kParallelFlopGrain = size_t{1} << 20;
 
-/// Writes one finished C element: the product, then `+ bias[j]`, then
-/// ReLU as `if (x < 0) x = 0` — the per-element operations, in the same
-/// order, that AddRowBroadcast and Relu apply, so fused results equal the
-/// unfused chain bit for bit.
-inline float Finish(float acc, const float* bias, size_t j, bool relu) {
-  float x = acc;
-  if (bias != nullptr) x += bias[j];
-  if (relu && x < 0) x = 0;
-  return x;
+/// One register's worth of C columns: W consecutive floats with the
+/// operations the micro-kernel needs. Lanes<1> is plain scalar code; the
+/// vector forms exist under STTR_SIMD and use explicit FMA instructions, so
+/// their speed does not hinge on the auto-vectorizer and their per-lane
+/// arithmetic is exactly MulAdd.
+template <size_t W>
+struct Lanes;
+
+template <>
+struct Lanes<1> {
+  using V = float;
+  static V Zero() { return 0.0f; }
+  static V Load(const float* p) { return *p; }
+  static void Store(float* p, V x) { *p = x; }
+  static V Broadcast(const float* p) { return *p; }
+  static V MulAdd(V a, V b, V acc) { return sttr::MulAdd(a, b, acc); }
+  static V Add(V x, V y) { return x + y; }
+  /// `if (x < 0) x = 0`: keeps -0 and NaN as they are.
+  static V Relu(V x) { return x < 0 ? 0.0f : x; }
+};
+
+#ifdef STTR_SIMD
+template <>
+struct Lanes<4> {
+  using V = __m128;
+  static V Zero() { return _mm_setzero_ps(); }
+  static V Load(const float* p) { return _mm_loadu_ps(p); }
+  static void Store(float* p, V x) { _mm_storeu_ps(p, x); }
+  static V Broadcast(const float* p) { return _mm_broadcast_ss(p); }
+  static V MulAdd(V a, V b, V acc) { return _mm_fmadd_ps(a, b, acc); }
+  static V Add(V x, V y) { return _mm_add_ps(x, y); }
+  // max(0, x) returns its second operand unless 0 > x, so -0 and NaN pass
+  // through exactly as in Lanes<1>::Relu.
+  static V Relu(V x) { return _mm_max_ps(_mm_setzero_ps(), x); }
+};
+
+template <>
+struct Lanes<8> {
+  using V = __m256;
+  static V Zero() { return _mm256_setzero_ps(); }
+  static V Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, V x) { _mm256_storeu_ps(p, x); }
+  static V Broadcast(const float* p) { return _mm256_broadcast_ss(p); }
+  static V MulAdd(V a, V b, V acc) { return _mm256_fmadd_ps(a, b, acc); }
+  static V Add(V x, V y) { return _mm256_add_ps(x, y); }
+  static V Relu(V x) { return _mm256_max_ps(_mm256_setzero_ps(), x); }
+};
+
+#ifdef __AVX512F__
+template <>
+struct Lanes<16> {
+  using V = __m512;
+  static V Zero() { return _mm512_setzero_ps(); }
+  static V Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, V x) { _mm512_storeu_ps(p, x); }
+  static V Broadcast(const float* p) { return _mm512_set1_ps(*p); }
+  static V MulAdd(V a, V b, V acc) { return _mm512_fmadd_ps(a, b, acc); }
+  static V Add(V x, V y) { return _mm512_add_ps(x, y); }
+  // The all-lanes masked form: GCC 12 warns on the unmasked one's
+  // undefined pass-through operand. Same instruction, same semantics.
+  static V Relu(V x) {
+    return _mm512_maskz_max_ps(__mmask16{0xFFFF}, _mm512_setzero_ps(), x);
+  }
+};
+
+constexpr size_t kMaxLanes = 16;
+constexpr size_t kVectorRegs = 32;
+#else
+constexpr size_t kMaxLanes = 8;
+constexpr size_t kVectorRegs = 16;
+#endif
+
+// Main strip width: two registers per row.
+constexpr size_t kColTile = 2 * kMaxLanes;
+
+/// Floats per register for a CT-wide strip.
+constexpr size_t LaneWidth(size_t ct) {
+  return ct >= 16 && kMaxLanes >= 16 ? 16 : ct >= 8 ? 8 : ct >= 4 ? 4 : 1;
 }
 
-/// C[0..RT)[0..CT) = A(RT rows, k) * B(k, CT cols). Accumulates over the
-/// inner dimension in increasing order per element — the same per-element
-/// chain as the classic i-k-j loop, so blocking does not perturb results.
-/// `bias` points at this tile's first column's bias (or is null).
+/// Rows per micro-kernel call for a CT-wide strip: the most, up to
+/// kRowTile, whose accumulators and the broadcast A value fit in the vector
+/// register file (B rows can be read as memory operands of the FMAs).
+constexpr size_t RowTileFor(size_t ct) {
+  const size_t per_row = ct / LaneWidth(ct);
+  size_t rt = kRowTile;
+  while (rt > 1 && rt * per_row + 1 > kVectorRegs) --rt;
+  return rt;
+}
+
+// The micro-kernel's register loops are unrolled outright: left rolled,
+// GCC keeps the accumulators in a stack array and stores them on every k
+// step.
+#define STTR_GEMM_UNROLL _Pragma("GCC unroll 32")
+#else
+// Scalar build: plain loops over accumulator arrays, vectorized (or not)
+// by the compiler. Narrow strips run one row at a time: GCC's SLP
+// vectorizer packs one row's contiguous columns cleanly but turns a
+// multi-row narrow tile into permute chains.
+constexpr size_t kColTile = 32;
+constexpr size_t LaneWidth(size_t) { return 1; }
+constexpr size_t RowTileFor(size_t ct) {
+  return ct >= kColTile ? kRowTile : 1;
+}
+#define STTR_GEMM_UNROLL
+#endif
+
+/// C[0..RT)[0..CT) = epilogue(A(RT rows, k) * B(k, CT cols)): each element
+/// is the MulAdd chain over increasing k, then `+ bias[j]`, then ReLU —
+/// the per-element operations, in the same order, that AddRowBroadcast and
+/// Relu apply, so fused results equal the unfused chain bit for bit.
+/// `bias` points at this strip's first column's bias (or is null).
 template <size_t RT, size_t CT>
 inline void GemmMicro(const float* a, size_t lda, const float* b, size_t ldb,
                       float* c, size_t ldc, size_t k, const float* bias,
                       bool relu) {
-  float acc[RT][CT] = {};
+  using L = Lanes<LaneWidth(CT)>;
+  constexpr size_t kW = LaneWidth(CT);
+  constexpr size_t kV = CT / kW;
+  typename L::V acc[RT][kV];
+  STTR_GEMM_UNROLL
+  for (size_t r = 0; r < RT; ++r) {
+    STTR_GEMM_UNROLL
+    for (size_t v = 0; v < kV; ++v) acc[r][v] = L::Zero();
+  }
   for (size_t kk = 0; kk < k; ++kk) {
     const float* br = b + kk * ldb;
+    typename L::V bv[kV];
+    STTR_GEMM_UNROLL
+    for (size_t v = 0; v < kV; ++v) bv[v] = L::Load(br + v * kW);
+    STTR_GEMM_UNROLL
     for (size_t r = 0; r < RT; ++r) {
-      const float av = a[r * lda + kk];
-      for (size_t j = 0; j < CT; ++j) acc[r][j] += av * br[j];
+      const typename L::V av = L::Broadcast(a + r * lda + kk);
+      STTR_GEMM_UNROLL
+      for (size_t v = 0; v < kV; ++v) {
+        acc[r][v] = L::MulAdd(av, bv[v], acc[r][v]);
+      }
     }
   }
+  STTR_GEMM_UNROLL
   for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < CT; ++j) {
-      c[r * ldc + j] = Finish(acc[r][j], bias, j, relu);
-    }
-  }
-}
-
-/// Ragged right/bottom edge of the tiling: RT rows, jw < kColTile columns.
-template <size_t RT>
-inline void GemmMicroEdge(const float* a, size_t lda, const float* b,
-                          size_t ldb, float* c, size_t ldc, size_t k,
-                          size_t jw, const float* bias, bool relu) {
-  float acc[RT][kColTile] = {};
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* br = b + kk * ldb;
-    for (size_t r = 0; r < RT; ++r) {
-      const float av = a[r * lda + kk];
-      for (size_t j = 0; j < jw; ++j) acc[r][j] += av * br[j];
-    }
-  }
-  for (size_t r = 0; r < RT; ++r) {
-    for (size_t j = 0; j < jw; ++j) {
-      c[r * ldc + j] = Finish(acc[r][j], bias, j, relu);
+    STTR_GEMM_UNROLL
+    for (size_t v = 0; v < kV; ++v) {
+      typename L::V x = acc[r][v];
+      if (bias != nullptr) x = L::Add(x, L::Load(bias + v * kW));
+      if (relu) x = L::Relu(x);
+      L::Store(c + r * ldc + v * kW, x);
     }
   }
 }
@@ -91,38 +192,47 @@ struct GemmJob {
   float* c;
 };
 
-/// Blocked GEMM over C rows [i0, i1), epilogue included: the unit of work
-/// the parallel path shards. Column tiles are the outer loop so the strided
-/// B panel a tile touches stays cache-resident across the row sweep.
-void GemmRowRange(const GemmJob& job, size_t i0, size_t i1) {
+/// Columns [j0, j0 + CT) of C rows [i0, i1).
+template <size_t CT>
+void GemmStrip(const GemmJob& job, size_t i0, size_t i1, size_t j0) {
+  constexpr size_t kRt = RowTileFor(CT);
   const size_t k = job.k, m = job.m, lda = job.lda;
   const bool relu = job.epilogue.relu;
-  for (size_t j0 = 0; j0 < m; j0 += kColTile) {
-    const size_t jw = std::min(kColTile, m - j0);
-    const float* b = job.b + j0;
-    const float* bias =
-        job.epilogue.bias != nullptr ? job.epilogue.bias + j0 : nullptr;
-    size_t i = i0;
-    if (jw == kColTile) {
-      for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicro<kRowTile, kColTile>(job.a + i * lda, lda, b, m,
-                                      job.c + i * m + j0, m, k, bias, relu);
-      }
-      for (; i < i1; ++i) {
-        GemmMicro<1, kColTile>(job.a + i * lda, lda, b, m, job.c + i * m + j0,
-                               m, k, bias, relu);
-      }
-    } else {
-      for (; i + kRowTile <= i1; i += kRowTile) {
-        GemmMicroEdge<kRowTile>(job.a + i * lda, lda, b, m,
-                                job.c + i * m + j0, m, k, jw, bias, relu);
-      }
-      for (; i < i1; ++i) {
-        GemmMicroEdge<1>(job.a + i * lda, lda, b, m, job.c + i * m + j0, m, k,
-                         jw, bias, relu);
-      }
-    }
+  const float* b = job.b + j0;
+  const float* bias =
+      job.epilogue.bias != nullptr ? job.epilogue.bias + j0 : nullptr;
+  size_t i = i0;
+  for (; i + kRt <= i1; i += kRt) {
+    GemmMicro<kRt, CT>(job.a + i * lda, lda, b, m, job.c + i * m + j0, m, k,
+                       bias, relu);
   }
+  for (; i < i1; ++i) {
+    GemmMicro<1, CT>(job.a + i * lda, lda, b, m, job.c + i * m + j0, m, k,
+                     bias, relu);
+  }
+}
+
+/// Covers columns [j0, m), fewer than 2*CT of them, with at most one strip
+/// of each power-of-two width CT, CT/2, ..., 1.
+template <size_t CT>
+void GemmTail(const GemmJob& job, size_t i0, size_t i1, size_t j0) {
+  if (job.m - j0 >= CT) {
+    GemmStrip<CT>(job, i0, i1, j0);
+    j0 += CT;
+  }
+  if constexpr (CT > 1) GemmTail<CT / 2>(job, i0, i1, j0);
+}
+
+/// Blocked GEMM over C rows [i0, i1), epilogue included: the unit of work
+/// the parallel path shards. Column strips are the outer loop so the
+/// strided B panel a strip touches stays cache-resident across the row
+/// sweep.
+void GemmRowRange(const GemmJob& job, size_t i0, size_t i1) {
+  size_t j0 = 0;
+  for (; j0 + kColTile <= job.m; j0 += kColTile) {
+    GemmStrip<kColTile>(job, i0, i1, j0);
+  }
+  GemmTail<kColTile / 2>(job, i0, i1, j0);
 }
 
 }  // namespace
@@ -147,9 +257,10 @@ void GemmInto(const float* a, size_t lda, size_t n, size_t k, const float* w,
     GemmRowRange(job, 0, n);
     return;
   }
-  // Shard C rows in kRowTile multiples so every row goes through the same
-  // micro-kernel path it would take serially (bit-identical outputs). The
-  // shard callable captures one pointer, so dispatch does not allocate.
+  // Shard C rows in kRowTile multiples so shards are whole row tiles; the
+  // result does not depend on the sharding (every element is the same
+  // MulAdd chain). The shard callable captures one pointer, so dispatch
+  // does not allocate.
   const size_t grain = std::max<size_t>(
       kRowTile, (n / (4 * pool.num_threads())) & ~(kRowTile - 1));
   const GemmJob* shared = &job;

@@ -1,6 +1,7 @@
 #ifndef STTR_TENSOR_TENSOR_OPS_H_
 #define STTR_TENSOR_TENSOR_OPS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +11,20 @@ namespace sttr {
 
 // Dense numeric kernels over 2-D tensors. These are the primitives the
 // autodiff layer composes; shapes are validated with STTR_CHECK.
+
+/// The multiply-add every GEMM below accumulates with: acc + a*b, rounded
+/// once (a fused multiply-add) when the target has FMA, else the rounded
+/// product plus acc. C[i][j] of MatMul/ParallelMatMul/GemmInto is the chain
+/// acc = MulAdd(a[i][k], w[k][j], acc) over k = 0, 1, ..., k-1 from acc = 0,
+/// then the GemmEpilogue — at every tile and strip width, serial or pooled,
+/// so tiling and thread count never change a result.
+inline float MulAdd(float a, float b, float acc) {
+#ifdef __FP_FAST_FMAF
+  return std::fma(a, b, acc);
+#else
+  return a * b + acc;
+#endif
+}
 
 /// C = A(n,k) * B(k,m). Cache-blocked serial kernel: C is computed in
 /// register-resident row/column tiles so each B element loaded from cache is

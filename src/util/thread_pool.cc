@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdlib>
 
@@ -140,7 +142,13 @@ size_t DefaultNumThreads() {
     if (end != env && *end == '\0' && v > 0) return static_cast<size_t>(v);
     STTR_LOG(Warning) << "STTR_NUM_THREADS='" << env
                       << "' is not a positive integer; falling back to "
-                         "hardware_concurrency()";
+                         "the CPU count";
+  }
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int n = CPU_COUNT(&allowed);
+    if (n > 0) return static_cast<size_t>(n);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);

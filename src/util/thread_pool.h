@@ -71,8 +71,10 @@ class ThreadPool {
 };
 
 /// Worker count for shared parallel paths: the STTR_NUM_THREADS environment
-/// variable when set to a positive integer, else hardware_concurrency()
-/// (minimum 1).
+/// variable when set to a positive integer, else the number of CPUs the
+/// calling thread may run on (sched_getaffinity, so a process pinned with
+/// taskset or a cpuset gets one worker per allowed CPU), else
+/// hardware_concurrency() (minimum 1).
 size_t DefaultNumThreads();
 
 /// Lazily constructed process-wide pool of DefaultNumThreads() workers,

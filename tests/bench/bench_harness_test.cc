@@ -12,7 +12,7 @@ namespace {
 TEST(BenchOptionsTest, ParsesAllFlags) {
   std::vector<const char*> argv = {"prog",           "--scale=tiny",
                                    "--seed=99",      "--epochs=3",
-                                   "--negatives=50", "--out=/tmp/x",
+                                   "--negatives=50", "--out=out/x",
                                    "--verbose"};
   const BenchOptions opts = BenchOptions::Parse(
       static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
@@ -20,7 +20,7 @@ TEST(BenchOptionsTest, ParsesAllFlags) {
   EXPECT_EQ(opts.seed, 99u);
   EXPECT_EQ(opts.epochs, 3u);
   EXPECT_EQ(opts.eval_negatives, 50u);
-  EXPECT_EQ(opts.out_prefix, "/tmp/x");
+  EXPECT_EQ(opts.out_prefix, "out/x");
   EXPECT_TRUE(opts.verbose);
   EXPECT_EQ(opts.DeepConfig().num_epochs, 3u);
   EXPECT_EQ(opts.Eval().num_negatives, 50u);

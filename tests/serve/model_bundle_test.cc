@@ -177,6 +177,46 @@ TEST_F(ModelBundleTest, ReloadListenerInvalidatesResultCache) {
       << "stale pre-reload result served after the model changed";
 }
 
+// A request in flight across a hot reload, in the server's order: cache
+// ticket, snapshot capture, (reload lands), score, Put. What it scored on
+// the old model must not be served after the reload; the next request's
+// result, scored on the new model, must be.
+TEST_F(ModelBundleTest, ResultScoredAcrossAReloadIsNotCachedAsFresh) {
+  const std::string dir = ServeTestDir();
+  TrainSmallModel(*fixture_, dir);
+  ModelBundle bundle(dataset(), split(), BundleConfig(dir));
+  ResultCache cache(ResultCacheConfig{});
+  bundle.AddReloadListener(
+      [&](const ModelSnapshot&) { cache.InvalidateAll(); });
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+
+  ResultCacheKey key;
+  key.user = 0;
+  key.city = split().target_city;
+  key.k = 16;
+  const auto ToValue = [](const std::vector<double>& scores) {
+    ResultCache::Value value;
+    for (size_t i = 0; i < scores.size(); ++i) {
+      value.emplace_back(static_cast<PoiId>(i), scores[i]);
+    }
+    return value;
+  };
+
+  const ResultCache::Ticket ticket = cache.TakeTicket();
+  const std::shared_ptr<const ModelSnapshot> in_flight = bundle.snapshot();
+  LandNewerCheckpoint(dir, /*epoch=*/80);
+  ASSERT_TRUE(bundle.ReloadIfNewer().ok());
+  ASSERT_NE(bundle.snapshot(), in_flight);
+  cache.Put(key, ToValue(ScoreSome(*in_flight->model)), ticket);
+  EXPECT_FALSE(cache.Get(key).has_value())
+      << "a result scored on the pre-reload model was served as fresh";
+
+  const ResultCache::Ticket next = cache.TakeTicket();
+  const std::shared_ptr<const ModelSnapshot> current = bundle.snapshot();
+  cache.Put(key, ToValue(ScoreSome(*current->model)), next);
+  EXPECT_TRUE(cache.Get(key).has_value());
+}
+
 // The hot-reload acceptance test (and the TSan target): scorer threads
 // hammer snapshot()->ScoreBatch while the background watcher swaps in newer
 // checkpoints. No request may ever observe torn parameters — two reads of

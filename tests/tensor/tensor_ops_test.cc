@@ -1,6 +1,8 @@
 #include "tensor/tensor_ops.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <tuple>
 #include <vector>
@@ -213,6 +215,64 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmIntoTest,
     ::testing::Combine(::testing::Values(1, 7, 8, 9, 8790),
                        ::testing::Values(1, 16, 32, 33, 128)));
+
+// GemmInto against the per-element contract written out as a plain triple
+// loop: C[i][j] = MulAdd chain over increasing k from 0, then + bias[j],
+// then ReLU. Every column count from 1 to 40 (each mix of 32-wide and
+// 16/8/4/2/1-wide strips) plus 64 and 128, row counts around the row tiles,
+// a row stride wider than k, and a k large enough that the pooled call
+// really shards.
+class GemmContractTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GemmContractTest, EqualsMulAddTripleLoopBitForBit) {
+  const size_t m = GetParam();
+  for (const size_t k : {size_t{5}, size_t{600}}) {
+    const size_t lda = k + 3;
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                           size_t{257}}) {
+      Rng rng(1000 * m + 10 * n + k);
+      const Tensor a = Tensor::RandomNormal({n, lda}, rng);
+      const Tensor w = Tensor::RandomNormal({k, m}, rng);
+      const Tensor bias = Tensor::RandomNormal({m}, rng);
+      std::vector<float> want(n * m);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < m; ++j) {
+          float acc = 0.0f;
+          for (size_t kk = 0; kk < k; ++kk) {
+            acc = MulAdd(a.data()[i * lda + kk], w.data()[kk * m + j], acc);
+          }
+          float x = acc + bias.data()[j];
+          if (x < 0) x = 0;
+          want[i * m + j] = x;
+        }
+      }
+      const GemmEpilogue epilogue{bias.data(), true};
+      std::vector<float> pooled(n * m, -1.0f);
+      GemmInto(a.data(), lda, n, k, w.data(), m, epilogue, pooled.data());
+      // On a pool worker GemmInto takes its serial path at every size.
+      std::vector<float> serial(n * m, -1.0f);
+      ThreadPool one(1);
+      one.Submit([&] {
+        GemmInto(a.data(), lda, n, k, w.data(), m, epilogue, serial.data());
+      });
+      one.Wait();
+      for (size_t i = 0; i < n * m; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(pooled[i]),
+                  std::bit_cast<uint32_t>(want[i]))
+            << "pooled n=" << n << " k=" << k << " element " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(serial[i]),
+                  std::bit_cast<uint32_t>(want[i]))
+            << "serial n=" << n << " k=" << k << " element " << i;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, GemmContractTest,
+    ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                      17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
+                      31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 64, 128));
 
 TEST(MatMulTest, ShapeMismatchAborts) {
   Tensor a({2, 3});

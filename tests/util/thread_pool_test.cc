@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
@@ -121,6 +123,31 @@ TEST(ThreadPoolTest, DefaultNumThreadsRespectsEnv) {
   EXPECT_GE(DefaultNumThreads(), 1u);
   unsetenv("STTR_NUM_THREADS");
   EXPECT_GE(DefaultNumThreads(), 1u);
+}
+
+TEST(ThreadPoolTest, DefaultNumThreadsCountsTheAllowedCpus) {
+  unsetenv("STTR_NUM_THREADS");
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(DefaultNumThreads(), static_cast<size_t>(CPU_COUNT(&original)));
+
+  // Pin to the first allowed CPU, and to the first two when there are two:
+  // the count follows the mask, not the machine.
+  cpu_set_t pinned;
+  CPU_ZERO(&pinned);
+  int added = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE && added < 2; ++cpu) {
+    if (!CPU_ISSET(cpu, &original)) continue;
+    CPU_SET(cpu, &pinned);
+    ++added;
+    ASSERT_EQ(sched_setaffinity(0, sizeof(pinned), &pinned), 0);
+    EXPECT_EQ(DefaultNumThreads(), static_cast<size_t>(added));
+  }
+  // The environment variable still wins over the mask.
+  setenv("STTR_NUM_THREADS", "5", /*overwrite=*/1);
+  EXPECT_EQ(DefaultNumThreads(), 5u);
+  unsetenv("STTR_NUM_THREADS");
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-invariant linter: the rules the compilers cannot see.
 
-Four invariants, each load-bearing for the reproduction's contract
+The invariants, each load-bearing for the reproduction's contract
 (bit-identical results under any worker count, tier-1 gating in CI):
 
   banned-randomness   All randomness flows through src/util/rng.* (sttr::Rng,
@@ -31,6 +31,13 @@ Four invariants, each load-bearing for the reproduction's contract
                       exactly the ones that never get tested. (::poll was
                       added when the router's fan-out loop was found to
                       escape the seam; ::accept4 preemptively with it.)
+  test-scratch-path   Test code under tests/ never names a fixed scratch
+                      path: no "/tmp/..." string literal, and no TempDir()
+                      call in a file that does not include
+                      tests/scratch_dir.h. ctest runs test cases as
+                      parallel processes, and a shared fixed directory lets
+                      one process delete another's files mid-write;
+                      scratch_dir.h gives each process its own (mkdtemp).
 
 Runs as a tier-1 ctest (sttr_lint) plus a fixture-driven self-test
 (sttr_lint_selftest); see tools/README.md.
@@ -51,6 +58,9 @@ RULES = {
     "raw-socket":
         "raw ::connect/::send/::recv/::poll/::accept4 outside "
         "src/util/socket_io.*",
+    "test-scratch-path":
+        "fixed scratch path in tests/: a \"/tmp/...\" literal, or TempDir() "
+        "without tests/scratch_dir.h",
 }
 
 # Randomness sources that bypass sttr::Rng. \b guards keep identifiers like
@@ -80,11 +90,20 @@ RAW_SOCKET = re.compile(r"(?<![\w:])::(?:connect|send|recv|poll|accept4)\s*\(")
 
 ESCAPE_MACRO = "NO_THREAD_SAFETY_ANALYSIS"
 
+# A string literal naming /tmp or a path under it; matched with comments
+# blanked but string contents kept.
+TMP_LITERAL = re.compile(r'"/tmp(?:/|")')
+# gtest's ::testing::TempDir(): one directory shared by every test process.
+TEMPDIR_CALL = re.compile(r"\bTempDir\s*\(")
+SCRATCH_INCLUDE = re.compile(
+    r'^\s*#\s*include\s*"(?:tests/)?scratch_dir\.h"', re.MULTILINE)
+
 # Files whose existence defines the allowed homes of the banned constructs.
 RNG_HOME = ("src/util/rng.h", "src/util/rng.cc")
 MUTEX_HOME = ("src/util/mutex.h",)
 ANNOTATIONS_HOME = ("src/util/thread_annotations.h",)
 SOCKET_HOME = ("src/util/socket_io.h", "src/util/socket_io.cc")
+SCRATCH_HOME = ("tests/scratch_dir.h",)
 
 FIXTURE_DIR = "tests/lint_fixtures"
 
@@ -124,12 +143,19 @@ def _is_digit_separator(source, i):
     return source[j + 1].isdigit()
 
 
-def strip_comments_and_strings(source):
+def strip_comments_and_strings(source, keep_strings=False):
     """Blanks comments and string/char literals, preserving line structure,
 
     so a rule regex never fires on documentation or log text. Knows C++14
     digit separators (1'000'000 is code, not a char literal) and raw string
-    literals (R"delim(...)delim", where escapes and quotes are inert)."""
+    literals (R"delim(...)delim", where escapes and quotes are inert).
+    With `keep_strings`, only comments are blanked."""
+
+    def literal(text):
+        if keep_strings:
+            return text
+        return "".join("\n" if ch == "\n" else " " for ch in text)
+
     out = []
     i, n = 0, len(source)
     state = "code"  # code | line_comment | block_comment | string | char
@@ -161,12 +187,11 @@ def strip_comments_and_strings(source):
                     end = (source.find(terminator, open_paren + 1)
                            if open_paren != -1 else -1)
                     end = n if end == -1 else end + len(terminator)
-                    out.extend("\n" if ch == "\n" else " "
-                               for ch in source[i:end])
+                    out.append(literal(source[i:end]))
                     i = end
                     continue
                 state = "string"
-                out.append(" ")
+                out.append(literal(c))
                 i += 1
                 continue
             if c == "'":
@@ -175,7 +200,7 @@ def strip_comments_and_strings(source):
                     i += 1
                     continue
                 state = "char"
-                out.append(" ")
+                out.append(literal(c))
                 i += 1
                 continue
             out.append(c)
@@ -195,14 +220,12 @@ def strip_comments_and_strings(source):
         elif state in ("string", "char"):
             quote = '"' if state == "string" else "'"
             if c == "\\":
-                out.append("  ")
+                out.append(literal(source[i:i + 2]))
                 i += 2
                 continue
             if c == quote:
                 state = "code"
-                out.append(" ")
-            else:
-                out.append("\n" if c == "\n" else " ")
+            out.append(literal(c))
         i += 1
     return "".join(out)
 
@@ -250,6 +273,37 @@ def lint_source_file(rel_path, source):
     return violations
 
 
+def lint_test_file(rel_path, source):
+    """Rules over one tests/ file; `rel_path` uses forward slashes."""
+    if rel_path in SCRATCH_HOME:
+        return []
+    violations = []
+    raw = source.splitlines()
+    code = strip_comments_and_strings(source).splitlines()
+    with_strings = strip_comments_and_strings(
+        source, keep_strings=True).splitlines()
+    has_scratch = SCRATCH_INCLUDE.search(source) is not None
+    for lineno, line in enumerate(with_strings, start=1):
+        if TMP_LITERAL.search(line):
+            violations.append(
+                Violation("test-scratch-path", rel_path, lineno,
+                          raw[lineno - 1]))
+        elif not has_scratch and TEMPDIR_CALL.search(code[lineno - 1]):
+            violations.append(
+                Violation("test-scratch-path", rel_path, lineno,
+                          "TempDir() without tests/scratch_dir.h: use "
+                          "ScratchDir()/TestScratchDir()"))
+    return violations
+
+
+def lint_file(rel_path, source):
+    """The rules for `rel_path`'s tree: tests/ files get the test rules,
+    everything else the src/ rules."""
+    if rel_path.startswith("tests/"):
+        return lint_test_file(rel_path, source)
+    return lint_source_file(rel_path, source)
+
+
 def lint_tier1_registration(tests_dir, cmakelists_path):
     """Every *_test.cc under `tests_dir` must be named in an sttr_test()
 
@@ -291,11 +345,13 @@ def iter_source_files(src_dir):
 
 def lint_repo(repo_root):
     violations = []
-    src_dir = os.path.join(repo_root, "src")
-    for path in iter_source_files(src_dir):
-        rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
-        with open(path, encoding="utf-8") as f:
-            violations.extend(lint_source_file(rel, f.read()))
+    for tree in ("src", "tests"):
+        for path in iter_source_files(os.path.join(repo_root, tree)):
+            rel = os.path.relpath(path, repo_root).replace(os.sep, "/")
+            if rel.startswith(FIXTURE_DIR + "/"):
+                continue
+            with open(path, encoding="utf-8") as f:
+                violations.extend(lint_file(rel, f.read()))
     violations.extend(
         lint_tier1_registration(
             os.path.join(repo_root, "tests"),
@@ -327,7 +383,7 @@ def self_test(repo_root):
         as_match = FIXTURE_AS.search(source)
         rel_path = as_match.group(1) if as_match else f"src/{name}"
         expected = sorted(EXPECT.findall(source))
-        got = sorted({v.rule for v in lint_source_file(rel_path, source)})
+        got = sorted({v.rule for v in lint_file(rel_path, source)})
         if got != expected:
             failures += 1
             print(f"self-test FAIL {name} (as {rel_path}):\n"
