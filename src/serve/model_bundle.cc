@@ -46,11 +46,11 @@ const char* PrecisionName(Precision p) {
 }
 
 void InvalidateForDelta(const Dataset& dataset, const DeltaCheckpoint& delta,
-                        ResultCache& cache) {
+                        ResultCache& cache, uint64_t version) {
   if (!delta.dense_params.empty()) {
     // A dense-layer refresh changes every score; row-level targeting is
     // unsound here, so fall back to the wholesale flush.
-    cache.InvalidateAll();
+    cache.InvalidateAll(version);
     return;
   }
   // User rows kill that user's entries in every city; POI rows kill every
@@ -66,7 +66,7 @@ void InvalidateForDelta(const Dataset& dataset, const DeltaCheckpoint& delta,
   }
   std::sort(cities.begin(), cities.end());
   cities.erase(std::unique(cities.begin(), cities.end()), cities.end());
-  cache.InvalidateRows(delta.user.rows, cities);
+  cache.InvalidateRows(delta.user.rows, cities, version);
 }
 
 ModelBundle::ModelBundle(const Dataset& dataset, const CrossCitySplit& split,

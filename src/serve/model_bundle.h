@@ -106,9 +106,10 @@ struct ModelBundleConfig {
 /// entries, word rows invalidate nothing (cached /recommend scores never
 /// read the word table; it only feeds training and the uncached cold-start
 /// path), and a dense-param refresh falls back to a wholesale flush. This
-/// is the row-level hook delta listeners hang the cache on.
+/// is the row-level hook delta listeners hang the cache on. `version` is
+/// the patched snapshot's version (ResultCache::Ticket; 0: none).
 void InvalidateForDelta(const Dataset& dataset, const DeltaCheckpoint& delta,
-                        ResultCache& cache);
+                        ResultCache& cache, uint64_t version = 0);
 
 /// Loads the newest valid checkpoint into an immutable, atomically swappable
 /// model snapshot, and (optionally) watches the checkpoint directory in the

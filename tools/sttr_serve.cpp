@@ -284,8 +284,8 @@ int Main(int argc, char** argv) {
     cache_cfg.ttl =
         std::chrono::milliseconds(flags.GetInt("cache_ttl_ms", 5000));
     cache = std::make_unique<serve::ResultCache>(cache_cfg);
-    bundle.AddReloadListener([&](const serve::ModelSnapshot&) {
-      cache->InvalidateAll();
+    bundle.AddReloadListener([&](const serve::ModelSnapshot& swapped_in) {
+      cache->InvalidateAll(swapped_in.version);
       stats.model_reloads.fetch_add(1, std::memory_order_relaxed);
     });
   } else {
@@ -329,8 +329,10 @@ int Main(int argc, char** argv) {
     ingest->Start();
     if (cache != nullptr) {
       bundle.AddDeltaListener(
-          [&](const serve::ModelSnapshot&, const DeltaCheckpoint& delta) {
-            serve::InvalidateForDelta(ws.world.dataset, delta, *cache);
+          [&](const serve::ModelSnapshot& patched,
+              const DeltaCheckpoint& delta) {
+            serve::InvalidateForDelta(ws.world.dataset, delta, *cache,
+                                      patched.version);
           });
     }
     STTR_LOG(Info) << "streaming ingestion: window "
