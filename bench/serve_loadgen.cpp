@@ -1,23 +1,19 @@
 // Load generator for the online serving subsystem. Spins the full serving
-// stack (ModelBundle + CandidateIndex + ScoreBatcher + ResultCache +
-// RecommendServer) in-process on an ephemeral loopback port, then drives it
-// with real HTTP clients over persistent keep-alive connections and measures
-// client-side latency and throughput:
+// stack (ModelBundle + CandidateIndex + ResultCache + RecommendServer)
+// in-process on an ephemeral loopback port, then drives it with real HTTP
+// clients over persistent keep-alive connections and measures client-side
+// latency and throughput:
 //
-//   serve_nobatch     closed-loop, no batcher at all (handlers score
-//                     inline), cache bypassed — the per-request baseline
-//   serve_batched     same traffic with micro-batching on — the tentpole
-//                     throughput win
+//   serve_closed      closed-loop, cache bypassed — every request scores
+//                     its candidates on a worker
 //   serve_cache_cold  single client, distinct (user, cell) per request,
 //                     cache bypassed — cold-path latency
 //   serve_cache_hit   same requests repeated against a warm cache — the
 //                     zero-allocation hot path
 //
-// --mode=epoll|blocking|both selects the serving core; every row carries its
-// mode so the two cores can be compared from one run. --connections=N holds
-// N-clients extra idle keep-alive connections open through the closed-loop
-// scenarios (the many-idle-few-loaded shape the epoll core exists for) and
-// adds a `serve_idle_conns` row.
+// --connections=N holds N-clients extra idle keep-alive connections open
+// through the closed-loop scenarios (the many-idle-few-loaded shape the
+// epoll core exists for) and adds a `serve_idle_conns` row.
 //
 // With --open_qps=N an open-loop scenario is added: senders fire on a fixed
 // arrival schedule *without waiting for prior responses* (requests pipeline
@@ -60,7 +56,6 @@
 
 #include "bench/bench_util.h"
 #include "core/checkpoint.h"
-#include "serve/batcher.h"
 #include "serve/candidate_index.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
@@ -467,19 +462,15 @@ struct ServeStack {
   serve::ServeStats stats;
   std::unique_ptr<serve::ModelBundle> bundle;
   std::unique_ptr<serve::CandidateIndex> index;
-  std::unique_ptr<serve::ScoreBatcher> batcher;
   std::unique_ptr<serve::ResultCache> cache;
   std::unique_ptr<serve::RecommendServer> server;
 
   ~ServeStack() {
     if (server != nullptr) server->Shutdown();
-    if (batcher != nullptr) batcher->Stop();
   }
 };
 
 struct StackOptions {
-  serve::ServeMode mode = serve::ServeMode::kEventLoop;
-  size_t batch_pairs = 0;
   size_t workers = 8;
   size_t io_threads = 1;
   size_t min_candidates = 200;
@@ -505,34 +496,20 @@ std::unique_ptr<ServeStack> StartStack(const Dataset& dataset,
   stack->index =
       std::make_unique<serve::CandidateIndex>(dataset, &split, index_cfg);
 
-  // batch_pairs == 0 disables the batcher entirely: workers score inline,
-  // the honest per-request baseline.
-  if (options.batch_pairs > 0) {
-    serve::BatcherConfig batcher_cfg;
-    batcher_cfg.max_batch_pairs = options.batch_pairs;
-    batcher_cfg.max_wait = std::chrono::microseconds(300);
-    stack->batcher =
-        std::make_unique<serve::ScoreBatcher>(batcher_cfg, &stack->stats);
-    stack->batcher->Start();
-  }
-
   serve::ResultCacheConfig cache_cfg;
   cache_cfg.ttl = std::chrono::milliseconds(0);  // no expiry during the run
   stack->cache = std::make_unique<serve::ResultCache>(cache_cfg);
 
   serve::ServerConfig server_cfg;
-  server_cfg.mode = options.mode;
   server_cfg.num_workers = options.workers;
   server_cfg.num_io_threads = options.io_threads;
   server_cfg.default_city = split.target_city;
   server_cfg.max_connections = options.max_connections;
-  server_cfg.max_pending_connections =
-      std::max<size_t>(64, options.max_connections);
   // Idle keep-alive connections must survive the timed window.
   server_cfg.request_timeout = std::chrono::milliseconds(60000);
   stack->server = std::make_unique<serve::RecommendServer>(
       server_cfg, dataset, stack->bundle.get(), stack->index.get(),
-      stack->batcher.get(), stack->cache.get(), &stack->stats);
+      stack->cache.get(), &stack->stats);
   STTR_CHECK_OK(stack->server->Start());
   return stack;
 }
@@ -546,7 +523,6 @@ int Main(int argc, char** argv) {
   flags.Define("ckpt_dir",
                "checkpoint directory (default: fresh temp dir; reused when "
                "it already holds a matching checkpoint)");
-  flags.Define("mode", "serving core: epoll | blocking | both", "epoll");
   flags.Define("clients", "concurrent loaded client connections", "8");
   flags.Define("connections",
                "total keep-alive connections held through the closed-loop "
@@ -555,7 +531,6 @@ int Main(int argc, char** argv) {
   flags.Define("duration_s", "seconds per scenario", "3");
   flags.Define("k", "top-K per request", "10");
   flags.Define("min_candidates", "candidate list size target", "200");
-  flags.Define("batch_pairs", "micro-batch flush threshold", "512");
   flags.Define("server_workers", "scoring worker threads", "8");
   flags.Define("io_threads", "epoll event-loop threads", "1");
   flags.Define("open_qps", "extra open-loop scenario at this arrival rate "
@@ -611,8 +586,6 @@ int Main(int argc, char** argv) {
   const size_t k = static_cast<size_t>(flags.GetInt("k", 10));
   const size_t min_candidates =
       static_cast<size_t>(flags.GetInt("min_candidates", 200));
-  const size_t batch_pairs =
-      static_cast<size_t>(flags.GetInt("batch_pairs", 512));
   const size_t server_workers =
       static_cast<size_t>(flags.GetInt("server_workers", 8));
   const size_t io_threads =
@@ -622,27 +595,12 @@ int Main(int argc, char** argv) {
       smoke ? 32 : 4096,
       static_cast<size_t>(flags.GetInt("cache_probes", 64)));
 
-  std::vector<std::pair<serve::ServeMode, std::string>> modes;
-  const std::string mode_flag = flags.GetString("mode", "epoll");
-  if (mode_flag == "epoll" || mode_flag == "both") {
-    modes.emplace_back(serve::ServeMode::kEventLoop, "epoll");
-  }
-  if (mode_flag == "blocking" || mode_flag == "both") {
-    modes.emplace_back(serve::ServeMode::kBlocking, "blocking");
-  }
-  if (modes.empty()) {
-    std::fprintf(stderr, "unknown --mode=%s (epoll | blocking | both)\n",
-                 mode_flag.c_str());
-    return 2;
-  }
-
   Rng rng(opts.seed == 0 ? 1234 : opts.seed);
   const std::vector<Query> queries =
       MakeQueries(ws.world.dataset, ws.split.target_city, 4096, rng);
 
   struct Row {
     std::string kernel;
-    std::string mode;
     size_t n;
     size_t clients;
     size_t connections;
@@ -653,20 +611,17 @@ int Main(int argc, char** argv) {
     double hot_allocs_per_hit = -1.0; // allocs / warmed cache-hit request
     double sys_per_req = -1.0;        // read+write+epoll_wait / request
     long dropped = -1, late = -1;     // open-loop only
-    double speedup_vs_nobatch = 0.0;
   };
   std::vector<Row> rows;
   bool zero_alloc_failed = false;
 
-  const auto record = [&](const std::string& kernel, const std::string& mode,
-                          const LoadResult& r, size_t n_clients,
-                          size_t n_connections, const StatsSnap& d) {
-    Row row{kernel, mode,  r.requests,   n_clients,
-            n_connections, r.seconds,    r.qps(),
-            r.MeanMs(),    r.PercentileMs(0.50), r.PercentileMs(0.99)};
-    // Only the epoll core meters allocations and syscalls; a blocking-mode
-    // zero would be "unmeasured", not "free".
-    if (mode == "epoll" && d.requests > 0) {
+  const auto record = [&](const std::string& kernel, const LoadResult& r,
+                          size_t n_clients, size_t n_connections,
+                          const StatsSnap& d) {
+    Row row{kernel,    r.requests, n_clients,           n_connections,
+            r.seconds, r.qps(),    r.MeanMs(),          r.PercentileMs(0.50),
+            r.PercentileMs(0.99)};
+    if (d.requests > 0) {
       row.allocs_per_req = static_cast<double>(d.recommend_allocs) /
                            static_cast<double>(d.requests);
       row.sys_per_req =
@@ -682,11 +637,10 @@ int Main(int argc, char** argv) {
       row.late = static_cast<long>(r.late);
     }
     rows.push_back(row);
-    std::printf("%-18s [%-8s] conns=%-5zu %6zu req  %8.1f qps  "
+    std::printf("%-18s conns=%-5zu %6zu req  %8.1f qps  "
                 "mean %7.3fms  p50 %7.3fms  p99 %7.3fms",
-                kernel.c_str(), mode.c_str(), n_connections, r.requests,
-                r.qps(), r.MeanMs(), r.PercentileMs(0.50),
-                r.PercentileMs(0.99));
+                kernel.c_str(), n_connections, r.requests, r.qps(),
+                r.MeanMs(), r.PercentileMs(0.50), r.PercentileMs(0.99));
     if (row.allocs_per_req >= 0) {
       std::printf("  %6.1f alloc/req  %5.2f sys/req", row.allocs_per_req,
                   row.sys_per_req);
@@ -699,204 +653,158 @@ int Main(int argc, char** argv) {
 
   // Untimed warmup ahead of each timed window: faults in the model pages,
   // grows the heap, arenas and connection buffers and warms the TCP path,
-  // so scenario 1 doesn't pay the process's one-time costs and bias the
-  // comparison.
+  // so scenario 1 doesn't pay the process's one-time costs.
   const auto warmup = [&](int port) {
     RunClosedLoop(port, queries, k, /*nocache=*/true, clients,
                   std::min(1.0, duration_s / 4.0));
   };
 
-  for (const auto& [mode, mode_name] : modes) {
-    StackOptions base;
-    base.mode = mode;
-    base.workers = server_workers;
-    base.io_threads = io_threads;
-    base.min_candidates = min_candidates;
-    base.max_connections = std::max<size_t>(4096, connections + clients + 64);
-    size_t nobatch_row = 0;
+  StackOptions base;
+  base.workers = server_workers;
+  base.io_threads = io_threads;
+  base.min_candidates = min_candidates;
+  base.max_connections = std::max<size_t>(4096, connections + clients + 64);
 
-    // ---- Scenario 1: per-request scoring (no batcher, cache bypassed). ----
+  // ---- Scenario 1: closed loop, cache bypassed. -------------------------
+  {
+    auto stack =
+        StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, base);
+    warmup(stack->server->port());
+    const StatsSnap before = StatsSnap::Of(stack->stats);
+    const LoadResult r = RunClosedLoop(stack->server->port(), queries, k,
+                                       /*nocache=*/true, clients,
+                                       duration_s);
+    record("serve_closed", r, clients, clients,
+           StatsSnap::Of(stack->stats).Minus(before));
+  }
+
+  // ---- Scenario 2: cache cold vs hit, single client. --------------------
+  {
+    StackOptions so = base;
+    // One worker: a single serial client never has two requests in
+    // flight, and one worker means one scratch to warm, so the zero-alloc
+    // window below is deterministic.
+    so.workers = 1;
+    auto stack =
+        StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
+    HttpClient client(stack->server->port());
+    // Probe with distinct users so every cold probe is a genuine first
+    // touch of its (user, cell, k) cache key — random queries collide on
+    // small worlds.
+    std::vector<Query> probe_queries;
     {
-      StackOptions so = base;
-      so.batch_pairs = 0;
-      auto stack =
-          StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
-      warmup(stack->server->port());
-      const StatsSnap before = StatsSnap::Of(stack->stats);
-      const LoadResult r = RunClosedLoop(stack->server->port(), queries, k,
-                                         /*nocache=*/true, clients,
-                                         duration_s);
-      nobatch_row = rows.size();
-      record("serve_nobatch", mode_name, r, clients, clients,
-             StatsSnap::Of(stack->stats).Minus(before));
+      std::unordered_set<UserId> seen_users;
+      for (const Query& q : queries) {
+        if (probe_queries.size() >= cache_probes) break;
+        if (seen_users.insert(q.user).second) probe_queries.push_back(q);
+      }
     }
+    const size_t probes = probe_queries.size();
+    // Cold: first touch of each (user, cell, k) key populates the cache.
+    std::vector<double> cold_ms, hit_ms;
+    const StatsSnap cold_before = StatsSnap::Of(stack->stats);
+    for (size_t i = 0; i < probes; ++i) {
+      Timer t;
+      const std::string body =
+          client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
+      cold_ms.push_back(t.ElapsedSeconds() * 1e3);
+      STTR_CHECK_NE(body.find("\"cached\": false"), std::string::npos);
+    }
+    const StatsSnap cold_delta =
+        StatsSnap::Of(stack->stats).Minus(cold_before);
+    // One untimed warm pass: the first cache hit grows the worker's reused
+    // result vector, the steady state starts at the second.
+    for (size_t i = 0; i < probes; ++i) {
+      const std::string body =
+          client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
+      STTR_CHECK_NE(body.find("\"cached\": true"), std::string::npos);
+    }
+    // Hit: identical requests again, now answered from the cache — the
+    // arena, worker scratch and connection buffers are warm, so the epoll
+    // core must not allocate at all from here on.
+    const StatsSnap hit_before = StatsSnap::Of(stack->stats);
+    for (size_t i = 0; i < probes; ++i) {
+      Timer t;
+      const std::string body =
+          client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
+      hit_ms.push_back(t.ElapsedSeconds() * 1e3);
+      STTR_CHECK_NE(body.find("\"cached\": true"), std::string::npos);
+    }
+    const StatsSnap hit_delta = StatsSnap::Of(stack->stats).Minus(hit_before);
+    std::sort(cold_ms.begin(), cold_ms.end());
+    std::sort(hit_ms.begin(), hit_ms.end());
+    const auto mean = [](const std::vector<double>& v) {
+      double s = 0;
+      for (double x : v) s += x;
+      return v.empty() ? 0.0 : s / static_cast<double>(v.size());
+    };
+    LoadResult cold, hit;
+    cold.requests = hit.requests = probes;
+    cold.latencies_ms = cold_ms;
+    hit.latencies_ms = hit_ms;
+    cold.seconds = mean(cold_ms) * static_cast<double>(probes) / 1e3;
+    hit.seconds = mean(hit_ms) * static_cast<double>(probes) / 1e3;
+    record("serve_cache_cold", cold, 1, 1, cold_delta);
+    record("serve_cache_hit", hit, 1, 1, hit_delta);
+    std::printf("  (cache speedup: %.1fx mean;  hot path: %llu allocs / "
+                "%llu warmed hits)\n",
+                mean(cold_ms) / mean(hit_ms),
+                static_cast<unsigned long long>(hit_delta.hot_allocs),
+                static_cast<unsigned long long>(hit_delta.hot_requests));
+    if (assert_zero_alloc) {
+      if (hit_delta.hot_requests != probes || hit_delta.hot_allocs != 0 ||
+          hit_delta.loop_allocs != 0) {
+        std::fprintf(stderr,
+                     "[serve_loadgen] ZERO-ALLOC VIOLATION: %llu warmed "
+                     "cache hits performed %llu worker allocs and %llu "
+                     "event-loop allocs (expected %zu hits, 0 allocs)\n",
+                     static_cast<unsigned long long>(hit_delta.hot_requests),
+                     static_cast<unsigned long long>(hit_delta.hot_allocs),
+                     static_cast<unsigned long long>(hit_delta.loop_allocs),
+                     probes);
+        zero_alloc_failed = true;
+      } else {
+        std::printf("  (zero-alloc assertion: %zu warmed hits, 0 allocs — "
+                    "ok)\n",
+                    probes);
+      }
+    }
+  }
 
-    // ---- Scenario 2: micro-batched scoring (cache still bypassed). --------
-    {
-      StackOptions so = base;
-      so.batch_pairs = batch_pairs;
-      auto stack =
-          StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
-      warmup(stack->server->port());
-      const StatsSnap before = StatsSnap::Of(stack->stats);
-      const LoadResult r = RunClosedLoop(stack->server->port(), queries, k,
-                                         /*nocache=*/true, clients,
-                                         duration_s);
-      record("serve_batched", mode_name, r, clients, clients,
-             StatsSnap::Of(stack->stats).Minus(before));
-      const uint64_t batches = stack->stats.batches.load();
-      const uint64_t batched = stack->stats.batched_requests.load();
-      std::printf("  (batch occupancy: %.2f requests/flush over %llu "
-                  "flushes)\n",
-                  batches == 0 ? 0.0
-                               : static_cast<double>(batched) /
-                                     static_cast<double>(batches),
-                  static_cast<unsigned long long>(batches));
+  // ---- Scenario 3: many idle connections, few loaded. -------------------
+  // The shape the epoll core exists for: the surplus over --clients sits
+  // in established keep-alive connections doing nothing while the loaded
+  // clients run the closed loop.
+  if (connections > clients) {
+    auto stack =
+        StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, base);
+    std::vector<std::unique_ptr<HttpClient>> idle;
+    idle.reserve(connections - clients);
+    for (size_t i = 0; i < connections - clients; ++i) {
+      idle.push_back(std::make_unique<HttpClient>(stack->server->port()));
+      // One round-trip pins the connection as established keep-alive.
+      idle.back()->Get("/healthz");
     }
-    rows.back().speedup_vs_nobatch = rows.back().qps / rows[nobatch_row].qps;
-    rows[nobatch_row].speedup_vs_nobatch = 1.0;
+    warmup(stack->server->port());
+    const StatsSnap before = StatsSnap::Of(stack->stats);
+    const LoadResult r = RunClosedLoop(stack->server->port(), queries, k,
+                                       /*nocache=*/true, clients,
+                                       duration_s);
+    record("serve_idle_conns", r, clients, connections,
+           StatsSnap::Of(stack->stats).Minus(before));
+  }
 
-    // ---- Scenario 3: cache cold vs hit, single client. --------------------
-    {
-      StackOptions so = base;
-      so.batch_pairs = batch_pairs;
-      // One worker: a single serial client never has two requests in
-      // flight, and one worker means one scratch to warm, so the zero-alloc
-      // window below is deterministic.
-      so.workers = 1;
-      auto stack =
-          StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
-      HttpClient client(stack->server->port());
-      // Probe with distinct users so every cold probe is a genuine first
-      // touch of its (user, cell, k) cache key — random queries collide on
-      // small worlds.
-      std::vector<Query> probe_queries;
-      {
-        std::unordered_set<UserId> seen_users;
-        for (const Query& q : queries) {
-          if (probe_queries.size() >= cache_probes) break;
-          if (seen_users.insert(q.user).second) probe_queries.push_back(q);
-        }
-      }
-      const size_t probes = probe_queries.size();
-      // Cold: first touch of each (user, cell, k) key populates the cache.
-      std::vector<double> cold_ms, hit_ms;
-      const StatsSnap cold_before = StatsSnap::Of(stack->stats);
-      for (size_t i = 0; i < probes; ++i) {
-        Timer t;
-        const std::string body =
-            client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
-        cold_ms.push_back(t.ElapsedSeconds() * 1e3);
-        STTR_CHECK_NE(body.find("\"cached\": false"), std::string::npos);
-      }
-      const StatsSnap cold_delta =
-          StatsSnap::Of(stack->stats).Minus(cold_before);
-      // One untimed warm pass: the first cache hit grows the worker's reused
-      // result vector, the steady state starts at the second.
-      for (size_t i = 0; i < probes; ++i) {
-        const std::string body =
-            client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
-        STTR_CHECK_NE(body.find("\"cached\": true"), std::string::npos);
-      }
-      // Hit: identical requests again, now answered from the cache — the
-      // arena, worker scratch and connection buffers are warm, so the epoll
-      // core must not allocate at all from here on.
-      const StatsSnap hit_before = StatsSnap::Of(stack->stats);
-      for (size_t i = 0; i < probes; ++i) {
-        Timer t;
-        const std::string body =
-            client.Get(QueryTarget(probe_queries[i], k, /*nocache=*/false));
-        hit_ms.push_back(t.ElapsedSeconds() * 1e3);
-        STTR_CHECK_NE(body.find("\"cached\": true"), std::string::npos);
-      }
-      const StatsSnap hit_delta = StatsSnap::Of(stack->stats).Minus(hit_before);
-      std::sort(cold_ms.begin(), cold_ms.end());
-      std::sort(hit_ms.begin(), hit_ms.end());
-      const auto mean = [](const std::vector<double>& v) {
-        double s = 0;
-        for (double x : v) s += x;
-        return v.empty() ? 0.0 : s / static_cast<double>(v.size());
-      };
-      LoadResult cold, hit;
-      cold.requests = hit.requests = probes;
-      cold.latencies_ms = cold_ms;
-      hit.latencies_ms = hit_ms;
-      cold.seconds = mean(cold_ms) * static_cast<double>(probes) / 1e3;
-      hit.seconds = mean(hit_ms) * static_cast<double>(probes) / 1e3;
-      record("serve_cache_cold", mode_name, cold, 1, 1, cold_delta);
-      record("serve_cache_hit", mode_name, hit, 1, 1, hit_delta);
-      std::printf("  (cache speedup: %.1fx mean;  hot path: %llu allocs / "
-                  "%llu warmed hits)\n",
-                  mean(cold_ms) / mean(hit_ms),
-                  static_cast<unsigned long long>(hit_delta.hot_allocs),
-                  static_cast<unsigned long long>(hit_delta.hot_requests));
-      if (assert_zero_alloc && mode == serve::ServeMode::kEventLoop) {
-        if (hit_delta.hot_requests != probes || hit_delta.hot_allocs != 0 ||
-            hit_delta.loop_allocs != 0) {
-          std::fprintf(stderr,
-                       "[serve_loadgen] ZERO-ALLOC VIOLATION: %llu warmed "
-                       "cache hits performed %llu worker allocs and %llu "
-                       "event-loop allocs (expected %zu hits, 0 allocs)\n",
-                       static_cast<unsigned long long>(hit_delta.hot_requests),
-                       static_cast<unsigned long long>(hit_delta.hot_allocs),
-                       static_cast<unsigned long long>(hit_delta.loop_allocs),
-                       probes);
-          zero_alloc_failed = true;
-        } else {
-          std::printf("  (zero-alloc assertion: %zu warmed hits, 0 allocs — "
-                      "ok)\n",
-                      probes);
-        }
-      }
-    }
-
-    // ---- Scenario 4: many idle connections, few loaded. -------------------
-    // The shape the epoll core exists for: the surplus over --clients sits
-    // in established keep-alive connections doing nothing while the loaded
-    // clients run the closed loop. The blocking core pins a thread per
-    // connection, so its stack gets one worker per connection — the price
-    // thread-per-connection pays to merely hold them.
-    if (connections > clients) {
-      StackOptions so = base;
-      so.batch_pairs = batch_pairs;
-      if (mode == serve::ServeMode::kBlocking) {
-        so.workers = std::max(server_workers, connections + clients);
-        std::printf("  (blocking mode: %zu worker threads to hold %zu "
-                    "connections)\n",
-                    so.workers, connections);
-      }
-      auto stack =
-          StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
-      std::vector<std::unique_ptr<HttpClient>> idle;
-      idle.reserve(connections - clients);
-      for (size_t i = 0; i < connections - clients; ++i) {
-        idle.push_back(std::make_unique<HttpClient>(stack->server->port()));
-        // One round-trip pins the connection as established keep-alive.
-        idle.back()->Get("/healthz");
-      }
-      warmup(stack->server->port());
-      const StatsSnap before = StatsSnap::Of(stack->stats);
-      const LoadResult r = RunClosedLoop(stack->server->port(), queries, k,
-                                         /*nocache=*/true, clients,
-                                         duration_s);
-      record("serve_idle_conns", mode_name, r, clients, connections,
-             StatsSnap::Of(stack->stats).Minus(before));
-    }
-
-    // ---- Optional scenario 5: open loop at a fixed arrival rate. ----------
-    if (open_qps > 0) {
-      StackOptions so = base;
-      so.batch_pairs = batch_pairs;
-      auto stack =
-          StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, so);
-      warmup(stack->server->port());
-      const StatsSnap before = StatsSnap::Of(stack->stats);
-      const LoadResult r =
-          RunOpenLoop(stack->server->port(), queries, k, /*nocache=*/true,
-                      clients, duration_s, open_qps);
-      record(StrFormat("serve_open_%.0fqps", open_qps), mode_name, r, clients,
-             clients, StatsSnap::Of(stack->stats).Minus(before));
-    }
+  // ---- Optional scenario 4: open loop at a fixed arrival rate. ----------
+  if (open_qps > 0) {
+    auto stack =
+        StartStack(ws.world.dataset, ws.split, model_cfg, ckpt_dir, base);
+    warmup(stack->server->port());
+    const StatsSnap before = StatsSnap::Of(stack->stats);
+    const LoadResult r =
+        RunOpenLoop(stack->server->port(), queries, k, /*nocache=*/true,
+                    clients, duration_s, open_qps);
+    record(StrFormat("serve_open_%.0fqps", open_qps), r, clients, clients,
+           StatsSnap::Of(stack->stats).Minus(before));
   }
 
   // ---- JSON emission for tools/summarize_bench.py. ------------------------
@@ -905,8 +813,8 @@ int Main(int argc, char** argv) {
        << server_workers << ",\n  \"results\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << "    {\"kernel\": \"" << r.kernel << "\", \"mode\": \"" << r.mode
-         << "\", \"n\": " << r.n << ", \"clients\": " << r.clients
+    json << "    {\"kernel\": \"" << r.kernel << "\", \"n\": " << r.n
+         << ", \"clients\": " << r.clients
          << ", \"connections\": " << r.connections
          << ", \"seconds\": " << r.seconds
          << ", \"qps\": " << StrFormat("%.1f", r.qps)
@@ -923,10 +831,6 @@ int Main(int argc, char** argv) {
     }
     if (r.dropped >= 0) {
       json << ", \"dropped\": " << r.dropped << ", \"late\": " << r.late;
-    }
-    if (r.speedup_vs_nobatch > 0) {
-      json << ", \"speedup_vs_nobatch\": "
-           << StrFormat("%.3f", r.speedup_vs_nobatch);
     }
     json << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -946,8 +850,8 @@ int Main(int argc, char** argv) {
   if (assert_zero_alloc) {
     for (const Row& r : rows) {
       if (r.qps <= 0.0) {
-        std::fprintf(stderr, "[serve_loadgen] %s [%s]: zero qps\n",
-                     r.kernel.c_str(), r.mode.c_str());
+        std::fprintf(stderr, "[serve_loadgen] %s: zero qps\n",
+                     r.kernel.c_str());
         return 1;
       }
     }

@@ -38,10 +38,10 @@ class PoiScorer {
   }
 
   /// Scores heterogeneous (user, poi) pairs, returned in input order. This
-  /// is the entry point the online micro-batcher coalesces concurrent
-  /// requests from *different* users into. The default loops over Score();
-  /// overrides must return exactly the per-pair values Score() would, so
-  /// batching is invisible to callers. Precondition: equal span lengths.
+  /// is the entry point the online server scores each request's candidates
+  /// through. The default loops over Score(); overrides must return exactly
+  /// the per-pair values Score() would, so batch composition is invisible
+  /// to callers. Precondition: equal span lengths.
   virtual std::vector<double> ScorePairs(std::span<const UserId> users,
                                          std::span<const PoiId> pois) const {
     std::vector<double> out;

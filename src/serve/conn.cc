@@ -18,9 +18,8 @@ std::string_view TrimView(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-/// Case-insensitive equality against an already-lowercase literal —
-/// matching the blocking server's `ToLower(Trim(line)) == "connection:
-/// close"` without materializing the lowered string.
+/// Case-insensitive equality against an already-lowercase literal, without
+/// materializing the lowered string.
 bool EqualsLower(std::string_view s, std::string_view lower) {
   if (s.size() != lower.size()) return false;
   for (size_t i = 0; i < s.size(); ++i) {
@@ -38,9 +37,8 @@ ParseStatus ParseRequest(std::string_view buffer, size_t max_request_bytes,
                          ParsedRequest* out) {
   const size_t header_end = buffer.find("\r\n\r\n");
   if (header_end == std::string_view::npos) {
-    // Same bound as the blocking implementation: the size check applies
-    // while the terminator is still missing, so a complete head that
-    // arrived oversized in one read is still parsed.
+    // The size check applies while the terminator is still missing, so a
+    // complete head that arrived oversized in one read is still parsed.
     return buffer.size() > max_request_bytes ? ParseStatus::kTooLarge
                                              : ParseStatus::kNeedMore;
   }
@@ -73,8 +71,7 @@ ParseStatus ParseRequest(std::string_view buffer, size_t max_request_bytes,
   out->consumed = header_end + 4;
 
   // Header lines: only "Connection: close" (case-insensitive, whitespace
-  // trimmed, byte-for-byte otherwise) flips keep-alive — the exact
-  // comparison the blocking server made.
+  // trimmed, byte-for-byte otherwise) flips keep-alive.
   while (line_end != std::string_view::npos) {
     const size_t line_start = line_end + 1;
     line_end = head.find('\n', line_start);

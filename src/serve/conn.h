@@ -30,8 +30,7 @@ struct ParsedRequest {
 ///
 /// Parsing allocates nothing: the request line is sliced in place and
 /// headers are scanned, not stored. Malformed or oversized heads surface as
-/// distinct statuses so the server can answer 400/431 and close, exactly
-/// like the blocking implementation.
+/// distinct statuses so the server can answer 400/431 and close.
 enum class ParseStatus {
   kNeedMore,   ///< no complete head buffered yet
   kComplete,   ///< *out filled, out->consumed bytes ready to consume
@@ -42,7 +41,7 @@ enum class ParseStatus {
 ParseStatus ParseRequest(std::string_view buffer, size_t max_request_bytes,
                          ParsedRequest* out);
 
-/// Reason phrase for a status code — the blocking server's table.
+/// Reason phrase for a status code.
 std::string_view HttpStatusText(int code);
 
 struct Conn;
@@ -52,7 +51,7 @@ struct Conn;
 /// conn->http_status and conn->body into conn->out. Arena-backed: allocates
 /// nothing once the connection is warmed. `keep_alive_header` sets only the
 /// Connection: header value — whether the socket actually stays open is the
-/// event loop's decision, exactly as in the blocking implementation.
+/// event loop's decision.
 void SerializeResponseInto(Conn* conn, bool keep_alive_header);
 
 /// Heap-allocating variant used to pre-serialize the handful of static
@@ -138,7 +137,7 @@ struct Conn {
 
   std::chrono::steady_clock::time_point last_activity;
   /// Set by the request router at parse time; the latency histogram records
-  /// req_start -> response-built, matching the blocking path's timing span.
+  /// req_start -> response-built.
   std::chrono::steady_clock::time_point req_start;
 };
 

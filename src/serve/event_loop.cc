@@ -30,8 +30,8 @@ void SetNonBlocking(int fd) {
 
 // Replies the loop makes without consulting the handler, pre-serialized once
 // at startup (EventLoop's constructor touches each accessor) so the steady
-// state never assembles them. Status codes, bodies and close semantics match
-// the blocking implementation byte-for-byte.
+// state never assembles them. Their bytes are pinned by
+// tests/serve/golden/protocol_errors.golden and request_timeout.golden.
 const std::string& MalformedResponse() {
   static const std::string r = SerializeResponse(
       400, "{\"error\": \"malformed request line\"}", /*keep_alive=*/false);
@@ -240,8 +240,7 @@ void EventLoop::Run() {
     const auto now = std::chrono::steady_clock::now();
     if (stopping) {
       // Graceful: drop connections that are between requests; let in-flight
-      // work (kProcessing/kWriting) finish and drain. Mirrors the blocking
-      // server finishing the current request then closing.
+      // work (kProcessing/kWriting) finish and drain.
       for (const auto& c : conns_) {
         if (c != nullptr && c->state == Conn::State::kReading) {
           CloseConn(*c);
@@ -362,7 +361,7 @@ void EventLoop::TryParse(Conn& conn) {
       case ParseStatus::kNeedMore:
         return;
       case ParseStatus::kTooLarge:
-        // Like the blocking server's 431: reply and close, no counter.
+        // 431: reply and close, no counter.
         SendStatic(conn, TooLargeResponse());
         return;
       case ParseStatus::kMalformed:
@@ -404,8 +403,8 @@ void EventLoop::SendStatic(Conn& conn, std::string_view full_response) {
 }
 
 void EventLoop::FinishResponse(Conn& conn) {
-  // The Connection: header mirrors the request's keep-alive wish, exactly
-  // like the blocking server — even when shutdown closes right afterwards.
+  // The Connection: header mirrors the request's keep-alive wish, even when
+  // shutdown closes right afterwards.
   SerializeResponseInto(&conn, conn.keep_alive);
   conn.state = Conn::State::kWriting;
   FlushOut(conn);
@@ -448,8 +447,7 @@ void EventLoop::SweepIdle(std::chrono::steady_clock::time_point now) {
     if (c == nullptr || c->state != Conn::State::kReading) continue;
     if (now - c->last_activity < opts_.idle_timeout) continue;
     if (!c->in.empty()) {
-      // A partial request is stranded: answer 408 then close, like the
-      // blocking server's receive timeout.
+      // A partial request is stranded: answer 408 then close.
       SendStatic(*c, TimeoutResponse());
     } else {
       CloseConn(*c);  // idle keep-alive connection

@@ -45,8 +45,7 @@ class EventLoop {
   struct Options {
     size_t max_request_bytes = 16 * 1024;
     /// A connection idle (no complete request in progress) longer than this
-    /// is closed; one with a *partial* request buffered gets a 408 first —
-    /// the same outcome as the blocking server's receive timeout.
+    /// is closed; one with a *partial* request buffered gets a 408 first.
     std::chrono::milliseconds idle_timeout{5000};
     /// Open-socket cap for this loop; connections beyond it are answered
     /// with the pre-serialized 503 and closed.

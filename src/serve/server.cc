@@ -2,10 +2,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,95 +19,18 @@
 #include "serve/alloc_hook.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/socket_io.h"
-#include "util/string_util.h"
 
 namespace sttr::serve {
 
 namespace {
-
-/// Minimal query-string decoding: splits "a=1&b=2" into pairs. Values are
-/// numeric in this API, so %-unescaping is deliberately not implemented.
-std::vector<std::pair<std::string, std::string>> ParseQuery(
-    const std::string& query) {
-  std::vector<std::pair<std::string, std::string>> params;
-  for (const std::string& part : Split(query, '&')) {
-    if (part.empty()) continue;
-    const size_t eq = part.find('=');
-    if (eq == std::string::npos) {
-      params.emplace_back(part, "");
-    } else {
-      params.emplace_back(part.substr(0, eq), part.substr(eq + 1));
-    }
-  }
-  return params;
-}
-
-const std::string* FindParam(
-    const std::vector<std::pair<std::string, std::string>>& params,
-    const std::string& name) {
-  for (const auto& [key, value] : params) {
-    if (key == name) return &value;
-  }
-  return nullptr;
-}
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDoubleParam(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
 
 std::string ErrorJson(const std::string& message) {
   // Parameter names and static messages only — nothing here needs escaping.
   return std::string("{\"error\": \"") + message + "\"}";
 }
 
-/// Writes the full buffer, retrying on short writes/EINTR.
-bool WriteAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        net::Send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool SendResponse(int fd, int code, const std::string& body,
-                  bool keep_alive) {
-  std::ostringstream os;
-  os << "HTTP/1.1 " << code << " " << HttpStatusText(code) << "\r\n"
-     << "Content-Type: application/json\r\n"
-     << "Content-Length: " << body.size() << "\r\n"
-     << "Connection: " << (keep_alive ? "keep-alive" : "close") << "\r\n"
-     << "\r\n"
-     << body;
-  return WriteAll(fd, os.str());
-}
-
-// ---- Event-loop mode helpers ------------------------------------------
-
-// Pre-serialized error bodies: byte-for-byte the ErrorJson() strings of the
-// blocking implementation, with zero assembly on the hot path.
+// Pre-serialized error bodies: byte-for-byte what ErrorJson() builds, with
+// zero assembly on the hot path.
 constexpr std::string_view kErrUser =
     "{\"error\": \"missing or invalid 'user'\"}";
 constexpr std::string_view kErrLatLon =
@@ -129,9 +52,8 @@ constexpr std::string_view kErrHour = "{\"error\": \"invalid 'hour'\"}";
 constexpr std::string_view kErrNoIngest =
     "{\"error\": \"ingest not enabled\"}";
 
-/// First value of `name` in the query string, scanning '&' parts in order —
-/// the same first-match-wins rule as ParseQuery + FindParam, without
-/// materializing anything.
+/// First value of `name` in the query string, scanning '&' parts in order
+/// (first match wins), without materializing anything.
 std::optional<std::string_view> FindQueryParam(std::string_view query,
                                                std::string_view name) {
   size_t pos = 0;
@@ -190,15 +112,14 @@ bool ParseDoubleView(std::string_view s, double* out) {
 
 RecommendServer::RecommendServer(ServerConfig config, const Dataset& dataset,
                                  ModelBundle* bundle, CandidateIndex* index,
-                                 ScoreBatcher* batcher, ResultCache* cache,
-                                 ServeStats* stats, EmbeddingStore* store,
+                                 ResultCache* cache, ServeStats* stats,
+                                 EmbeddingStore* store,
                                  stream::IngestService* ingest,
                                  const stream::ColdStartScorer* cold_start)
     : config_(config),
       dataset_(dataset),
       bundle_(bundle),
       index_(index),
-      batcher_(batcher),
       cache_(cache),
       stats_(stats),
       store_(store),
@@ -242,10 +163,9 @@ Status RecommendServer::Start() {
     listen_fd_ = -1;
     return st;
   }
-  const size_t backlog = config_.mode == ServeMode::kEventLoop
-                             ? std::max<size_t>(config_.max_pending_connections,
-                                                256)
-                             : config_.max_pending_connections;
+  // The kernel clamps the backlog to somaxconn.
+  const size_t backlog = std::clamp<size_t>(
+      config_.max_connections, 1, std::numeric_limits<int>::max());
   if (::listen(listen_fd_, static_cast<int>(backlog)) < 0) {
     const Status st =
         Status::IOError(std::string("listen: ") + std::strerror(errno));
@@ -258,7 +178,6 @@ Status RecommendServer::Start() {
   port_ = ntohs(addr.sin_port);
 
   started_at_ = std::chrono::steady_clock::now();
-  shutting_down_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
 
   if (store_ != nullptr) {
@@ -269,58 +188,48 @@ Status RecommendServer::Start() {
     store_version_ = snapshot != nullptr ? snapshot->version : 0;
   }
 
-  if (config_.mode == ServeMode::kEventLoop) {
-    const size_t n_loops = std::max<size_t>(1, config_.num_io_threads);
-    EventLoop::Options opts;
-    opts.max_request_bytes = config_.max_request_bytes;
-    opts.idle_timeout = config_.request_timeout;
-    opts.max_connections =
-        std::max<size_t>(1, config_.max_connections / n_loops);
-    loops_.clear();
-    for (size_t i = 0; i < n_loops; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>(
-          opts, stats_,
-          [this, i](Conn& conn, const ParsedRequest& req) {
-            return OnRequest(loops_[i].get(), conn, req);
-          }));
-    }
-    for (const auto& loop : loops_) {
-      if (!loop->Start()) {
-        for (const auto& started : loops_) started->Stop();
-        loops_.clear();
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        running_.store(false, std::memory_order_release);
-        return Status::IOError("event loop start failed");
-      }
-    }
-    {
-      MutexLock lock(task_mu_);
-      ring_.assign(std::max<size_t>(1, config_.max_queued_requests), Task{});
-      ring_head_ = 0;
-      ring_count_ = 0;
-      workers_stop_ = false;
-    }
-    workers_.reserve(config_.num_workers);
-    for (size_t i = 0; i < config_.num_workers; ++i) {
-      workers_.emplace_back([this] { ScoringWorkerLoop(); });
-    }
-  } else {
-    workers_.reserve(config_.num_workers);
-    for (size_t i = 0; i < config_.num_workers; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+  const size_t n_loops = std::max<size_t>(1, config_.num_io_threads);
+  EventLoop::Options opts;
+  opts.max_request_bytes = config_.max_request_bytes;
+  opts.idle_timeout = config_.request_timeout;
+  opts.max_connections =
+      std::max<size_t>(1, config_.max_connections / n_loops);
+  loops_.clear();
+  for (size_t i = 0; i < n_loops; ++i) {
+    loops_.push_back(std::make_unique<EventLoop>(
+        opts, stats_,
+        [this, i](Conn& conn, const ParsedRequest& req) {
+          return OnRequest(loops_[i].get(), conn, req);
+        }));
+  }
+  for (const auto& loop : loops_) {
+    if (!loop->Start()) {
+      for (const auto& started : loops_) started->Stop();
+      loops_.clear();
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      running_.store(false, std::memory_order_release);
+      return Status::IOError("event loop start failed");
     }
   }
+  {
+    MutexLock lock(task_mu_);
+    ring_.assign(std::max<size_t>(1, config_.max_queued_requests), Task{});
+    ring_head_ = 0;
+    ring_count_ = 0;
+    workers_stop_ = false;
+  }
+  workers_.reserve(config_.num_workers);
+  for (size_t i = 0; i < config_.num_workers; ++i) {
+    workers_.emplace_back([this] { ScoringWorkerLoop(); });
+  }
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  STTR_LOG(Info) << "recommend server listening on 127.0.0.1:" << port_
-                 << (config_.mode == ServeMode::kEventLoop ? " (event loop)"
-                                                           : " (blocking)");
+  STTR_LOG(Info) << "recommend server listening on 127.0.0.1:" << port_;
   return Status::OK();
 }
 
 void RecommendServer::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  shutting_down_.store(true, std::memory_order_release);
   // Closing the listener wakes the blocking accept(). The acceptor reads
   // listen_fd_, so the -1 store must wait until it has joined.
   if (listen_fd_ >= 0) {
@@ -329,26 +238,18 @@ void RecommendServer::Shutdown() {
   }
   if (acceptor_.joinable()) acceptor_.join();
   listen_fd_ = -1;
-  if (config_.mode == ServeMode::kEventLoop) {
-    // Loop shutdown drains in-flight requests: a loop exits only once all
-    // its connections are closed, which requires the scoring workers to
-    // post their completions — so the workers stop strictly after.
-    for (const auto& loop : loops_) loop->Stop();
-    {
-      MutexLock lock(task_mu_);
-      workers_stop_ = true;
-    }
-    task_cv_.NotifyAll();
-    for (std::thread& worker : workers_) worker.join();
-    workers_.clear();
-    loops_.clear();
-  } else {
-    // Drain: workers exit once the pending queue is empty and
-    // shutting_down_.
-    queue_cv_.NotifyAll();
-    for (std::thread& worker : workers_) worker.join();
-    workers_.clear();
+  // Loop shutdown drains in-flight requests: a loop exits only once all
+  // its connections are closed, which requires the scoring workers to
+  // post their completions — so the workers stop strictly after.
+  for (const auto& loop : loops_) loop->Stop();
+  {
+    MutexLock lock(task_mu_);
+    workers_stop_ = true;
   }
+  task_cv_.NotifyAll();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  loops_.clear();
   STTR_LOG(Info) << "recommend server on port " << port_ << " shut down";
 }
 
@@ -361,33 +262,11 @@ void RecommendServer::AcceptLoop() {
       return;  // listener closed (shutdown) or fatal accept error
     }
     stats_->sys_accepts.fetch_add(1, std::memory_order_relaxed);
-    if (config_.mode == ServeMode::kEventLoop) {
-      // Round-robin across loops; each loop enforces its connection cap.
-      loops_[next_loop]->AddConnection(fd);
-      next_loop = (next_loop + 1) % loops_.size();
-      continue;
-    }
-    bool rejected = false;
-    {
-      MutexLock lock(queue_mu_);
-      if (pending_.size() >= config_.max_pending_connections) {
-        rejected = true;
-      } else {
-        pending_.push_back(fd);
-      }
-    }
-    if (rejected) {
-      stats_->rejected_connections.fetch_add(1, std::memory_order_relaxed);
-      SendResponse(fd, 503, ErrorJson("server overloaded"),
-                   /*keep_alive=*/false);
-      ::close(fd);
-    } else {
-      queue_cv_.NotifyOne();
-    }
+    // Round-robin across loops; each loop enforces its connection cap.
+    loops_[next_loop]->AddConnection(fd);
+    next_loop = (next_loop + 1) % loops_.size();
   }
 }
-
-// ---- Event-loop mode ----------------------------------------------------
 
 EventLoop::Dispatch RecommendServer::OnRequest(EventLoop* loop, Conn& conn,
                                                const ParsedRequest& req) {
@@ -412,8 +291,7 @@ EventLoop::Dispatch RecommendServer::OnRequest(EventLoop* loop, Conn& conn,
       task.kind = Task::Kind::kRecommend;
       if (!EnqueueTask(task)) {
         // Admission control: the worker ring is full, shed load now
-        // instead of queueing unboundedly. Close like the blocking
-        // server's accept-side 503.
+        // instead of queueing unboundedly, and close.
         stats_->rejected_requests.fetch_add(1, std::memory_order_relaxed);
         conn.http_status = 503;
         conn.body.Append(kErrOverloaded);
@@ -459,8 +337,8 @@ EventLoop::Dispatch RecommendServer::OnRequest(EventLoop* loop, Conn& conn,
   }
 
   // Synchronous error reply, answered on the loop thread with a
-  // pre-serialized body: same counters and latency span as the blocking
-  // path gives its routed 4xx responses.
+  // pre-serialized body: same counters and latency span as a worker gives
+  // its 4xx responses.
   stats_->bad_requests.fetch_add(1, std::memory_order_relaxed);
   RecordLatency(conn.req_start);
   return EventLoop::Dispatch::kRespond;
@@ -469,8 +347,8 @@ EventLoop::Dispatch RecommendServer::OnRequest(EventLoop* loop, Conn& conn,
 bool RecommendServer::ParseRecommendParams(std::string_view query,
                                            RequestParams* out, int* status,
                                            std::string_view* error) const {
-  // Validation order, bounds and error bodies replicate HandleRecommend
-  // exactly — the equivalence suite compares the two byte-for-byte.
+  // Validation order, bounds and error bodies are part of the HTTP contract
+  // pinned by tests/serve/golden/recommend.golden.
   const std::optional<std::string_view> user_param =
       FindQueryParam(query, "user");
   if (!user_param.has_value() || !ParseInt64View(*user_param, &out->user) ||
@@ -531,8 +409,8 @@ bool RecommendServer::ParseCheckinParams(std::string_view query,
                                          RequestParams* out, int* status,
                                          std::string_view* error) const {
   // Only well-formedness is checked here; id range validation (and the
-  // poi/city consistency rule) is IngestService::Submit's job, so both HTTP
-  // modes and direct Submit callers share one semantic gate.
+  // poi/city consistency rule) is IngestService::Submit's job, so HTTP and
+  // direct Submit callers share one semantic gate.
   const std::optional<std::string_view> user_param =
       FindQueryParam(query, "user");
   if (!user_param.has_value() || !ParseInt64View(*user_param, &out->user)) {
@@ -689,14 +567,10 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
         PopularityScores(
             {scratch.candidates.data(), scratch.candidates.size()}, &scores);
       }
-    } else if (batcher_ != nullptr) {
-      scores =
-          batcher_->Submit(snapshot->scorer, p.user, scratch.candidates).get();
     } else {
-      // Per-request mode: score inline on this worker thread. Same
-      // ScorePairs call shape as a single-request flush, so the scores are
-      // bit-identical to the micro-batched path.
       scratch.users.assign(scratch.candidates.size(), p.user);
+      stats_->scored_pairs.fetch_add(scratch.candidates.size(),
+                                     std::memory_order_relaxed);
       scores = snapshot->scorer->ScorePairs(
           {scratch.users.data(), scratch.users.size()},
           {scratch.candidates.data(), scratch.candidates.size()});
@@ -710,8 +584,7 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
     top = &computed;
   }
 
-  // JSON assembly in the connection's arena — %.17g score formatting
-  // matches the blocking path's StrFormat exactly.
+  // JSON assembly in the connection's arena; %.17g round-trips the scores.
   ArenaBuf& b = conn.body;
   b.Append("{\"user\": ");
   b.AppendInt(p.user);
@@ -843,307 +716,6 @@ void RecommendServer::RecordLatency(
           .count()));
 }
 
-// ---- Blocking mode (legacy reference implementation) --------------------
-
-void RecommendServer::WorkerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      MutexLock lock(queue_mu_);
-      while (pending_.empty() && !shutting_down_.load()) {
-        queue_cv_.Wait(queue_mu_);
-      }
-      if (pending_.empty()) return;  // shutting down, queue drained
-      fd = pending_.front();
-      pending_.pop_front();
-    }
-    HandleConnection(fd);
-  }
-}
-
-void RecommendServer::HandleConnection(int fd) {
-  const timeval tv{
-      .tv_sec = static_cast<time_t>(config_.request_timeout.count() / 1000),
-      .tv_usec = static_cast<suseconds_t>(
-          (config_.request_timeout.count() % 1000) * 1000)};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-  std::string buffer;
-  while (HandleOneRequest(fd, buffer)) {
-    // Keep-alive: loop until the client closes, times out, or asks to stop.
-    // During graceful shutdown, finish the in-flight request then close.
-    if (shutting_down_.load(std::memory_order_acquire)) break;
-  }
-  ::close(fd);
-}
-
-bool RecommendServer::HandleOneRequest(int fd, std::string& buffer) {
-  // Read until the header terminator. Requests have no body in this API.
-  size_t header_end;
-  while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
-    if (buffer.size() > config_.max_request_bytes) {
-      SendResponse(fd, 431, ErrorJson("request too large"), false);
-      return false;
-    }
-    char chunk[4096];
-    const ssize_t n = net::Recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) return false;  // client closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // EAGAIN/EWOULDBLOCK: idle keep-alive connection timed out. Only
-      // answer 408 when a partial request is stranded.
-      if (!buffer.empty()) {
-        SendResponse(fd, 408, ErrorJson("request timeout"), false);
-      }
-      return false;
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
-
-  const std::string head = buffer.substr(0, header_end);
-  buffer.erase(0, header_end + 4);
-
-  const auto lines = Split(head, '\n');
-  const auto request_parts = SplitWhitespace(lines[0]);
-  if (request_parts.size() != 3 || !StartsWith(request_parts[2], "HTTP/1.")) {
-    stats_->bad_requests.fetch_add(1, std::memory_order_relaxed);
-    SendResponse(fd, 400, ErrorJson("malformed request line"), false);
-    return false;
-  }
-  const std::string& method = request_parts[0];
-  const std::string& target = request_parts[1];
-  bool keep_alive = true;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const std::string line = ToLower(std::string(Trim(lines[i])));
-    if (line == "connection: close") keep_alive = false;
-  }
-
-  const size_t qmark = target.find('?');
-  const std::string path = target.substr(0, qmark);
-  const std::string query =
-      qmark == std::string::npos ? "" : target.substr(qmark + 1);
-
-  const auto start = std::chrono::steady_clock::now();
-  stats_->requests.fetch_add(1, std::memory_order_relaxed);
-
-  int http_status = 200;
-  std::string body;
-  if (method != "GET" && method != "POST") {
-    http_status = 400;
-    body = ErrorJson("unsupported method");
-  } else if (path == "/recommend") {
-    body = HandleRecommend(query, &http_status);
-  } else if (path == "/checkin") {
-    body = HandleCheckin(query, &http_status);
-  } else if (path == "/healthz") {
-    body = HealthzBody(&http_status);
-  } else if (path == "/statz") {
-    body = HandleStatz();
-  } else {
-    http_status = 404;
-    body = ErrorJson("unknown path");
-  }
-  if (http_status >= 400) {
-    stats_->bad_requests.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  stats_->request_latency.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count()));
-  return SendResponse(fd, http_status, body, keep_alive) && keep_alive;
-}
-
-std::string RecommendServer::HandleRecommend(const std::string& query,
-                                             int* http_status) {
-  const auto params = ParseQuery(query);
-
-  int64_t user = -1;
-  double lat = 0.0, lon = 0.0;
-  const std::string* user_param = FindParam(params, "user");
-  const std::string* lat_param = FindParam(params, "lat");
-  const std::string* lon_param = FindParam(params, "lon");
-  if (user_param == nullptr || !ParseInt64(*user_param, &user) || user < 0 ||
-      static_cast<size_t>(user) >= dataset_.num_users()) {
-    *http_status = 400;
-    return ErrorJson("missing or invalid 'user'");
-  }
-  if (lat_param == nullptr || lon_param == nullptr ||
-      !ParseDoubleParam(*lat_param, &lat) ||
-      !ParseDoubleParam(*lon_param, &lon)) {
-    *http_status = 400;
-    return ErrorJson("missing or invalid 'lat'/'lon'");
-  }
-  int64_t city = config_.default_city;
-  if (const std::string* p = FindParam(params, "city")) {
-    if (!ParseInt64(*p, &city) || city < 0 ||
-        static_cast<size_t>(city) >= dataset_.num_cities()) {
-      *http_status = 400;
-      return ErrorJson("invalid 'city'");
-    }
-  }
-  int64_t k = static_cast<int64_t>(config_.default_k);
-  if (const std::string* p = FindParam(params, "k")) {
-    if (!ParseInt64(*p, &k) || k <= 0 ||
-        k > static_cast<int64_t>(config_.max_k)) {
-      *http_status = 400;
-      return ErrorJson("invalid 'k'");
-    }
-  }
-  bool use_cache = config_.enable_cache;
-  if (const std::string* p = FindParam(params, "nocache")) {
-    if (*p != "0") use_cache = false;
-  }
-  double hour = -1.0;
-  if (const std::string* p = FindParam(params, "hour")) {
-    if (!ParseDoubleParam(*p, &hour) || hour < 0.0) {
-      *http_status = 400;
-      return ErrorJson("invalid 'hour'");
-    }
-  }
-
-  // The cache ticket comes first: a delta landing between it and the
-  // snapshot capture below outdates whatever this request caches.
-  ResultCache::Ticket ticket =
-      use_cache ? cache_->TakeTicket() : ResultCache::Ticket{};
-  // Capture the snapshot once: this request scores (and reports provenance)
-  // against exactly one model even if a hot reload lands mid-flight.
-  const std::shared_ptr<const ModelSnapshot> snapshot = bundle_->snapshot();
-  if (snapshot == nullptr || snapshot->scorer == nullptr) {
-    *http_status = 503;
-    return ErrorJson("no model loaded");
-  }
-  ticket.version = snapshot->version;
-
-  const GeoPoint loc{lat, lon};
-  const CityId city_id = static_cast<CityId>(city);
-  const uint64_t cell = index_->CellOf(city_id, loc);
-  const ResultCacheKey key{user, city_id, cell, static_cast<uint32_t>(k),
-                           static_cast<uint8_t>(snapshot->precision)};
-
-  // Cold-start detection: a user with no history in the request city scores
-  // through the word bridge, bypassing the cache entirely — those scores
-  // track the live word table, which row-level invalidation does not cover.
-  const bool cold = cold_start_ != nullptr && snapshot->model != nullptr &&
-                    cold_start_->IsColdIn(user, city_id);
-
-  std::vector<std::pair<PoiId, double>> top;
-  bool cached = false;
-  if (use_cache && !cold) {
-    if (cache_->GetInto(key, ticket, &top)) {
-      cached = true;
-      stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  bool degraded = false;
-  if (!cached) {
-    const std::vector<PoiId> candidates = index_->Candidates(city_id, loc);
-    if (candidates.empty()) {
-      *http_status = 404;
-      return ErrorJson("no candidate POIs in city");
-    }
-    std::vector<double> scores;
-    if (cold) {
-      stats_->cold_start_requests.fetch_add(1, std::memory_order_relaxed);
-      cold_start_->Score(snapshot->model->WordEmbeddingTable(), user,
-                         cold_start_->BucketOf(hour),
-                         {candidates.data(), candidates.size()}, &scores);
-    } else if (StoreUsable(*snapshot)) {
-      if (!ScoreViaStore(*snapshot->model, user,
-                         {candidates.data(), candidates.size()}, &scores)) {
-        // Explicit degradation: the store missed its deadline or its shards
-        // are down. Rank candidates by global popularity and say so —
-        // never serve silently wrong scores.
-        degraded = true;
-        stats_->degraded_requests.fetch_add(1, std::memory_order_relaxed);
-        PopularityScores({candidates.data(), candidates.size()}, &scores);
-      }
-    } else if (batcher_ != nullptr) {
-      std::future<std::vector<double>> scores_future =
-          batcher_->Submit(snapshot->scorer, user, candidates);
-      scores = scores_future.get();
-    } else {
-      // Per-request mode: score inline on this handler thread. Same
-      // ScorePairs call shape as a single-request flush, so the scores are
-      // bit-identical to the micro-batched path.
-      const std::vector<UserId> users(candidates.size(), user);
-      scores = snapshot->scorer->ScorePairs(
-          {users.data(), users.size()},
-          {candidates.data(), candidates.size()});
-    }
-    top = TopKByScore(candidates, scores, static_cast<size_t>(k));
-    // A degraded ranking must never poison the cache: it would outlive the
-    // outage and keep serving after the store recovers. Cold-start results
-    // stay uncached too (see above).
-    if (use_cache && !degraded && !cold) cache_->Put(key, top, ticket);
-  }
-
-  std::ostringstream os;
-  os << "{\"user\": " << user << ", \"city\": " << city
-     << ", \"cell\": " << cell << ", \"k\": " << k
-     << ", \"cached\": " << (cached ? "true" : "false");
-  if (store_ != nullptr) {
-    // Only store-backed servers carry the marker, so a store-less server's
-    // response bytes are unchanged.
-    os << ", \"degraded\": " << (degraded ? "true" : "false");
-  }
-  if (cold_start_ != nullptr) {
-    // Same opt-in rule as "degraded": only cold-start-enabled servers
-    // carry the marker.
-    os << ", \"cold_start\": " << (cold ? "true" : "false");
-  }
-  os << ", \"model_epoch\": " << snapshot->epoch
-     << ", \"model_version\": " << snapshot->version << ", \"results\": [";
-  for (size_t i = 0; i < top.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << "{\"poi\": " << top[i].first << ", \"score\": "
-       << StrFormat("%.17g", top[i].second) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string RecommendServer::HandleCheckin(const std::string& query,
-                                           int* http_status) {
-  // Parse precedence and error bodies mirror ParseCheckinParams exactly —
-  // the equivalence suite compares the two modes byte-for-byte.
-  if (ingest_ == nullptr) {
-    *http_status = 404;
-    return ErrorJson("ingest not enabled");
-  }
-  const auto params = ParseQuery(query);
-  RequestParams p;
-  const std::string* user_param = FindParam(params, "user");
-  if (user_param == nullptr || !ParseInt64(*user_param, &p.user)) {
-    *http_status = 400;
-    return ErrorJson("missing or invalid 'user'");
-  }
-  const std::string* poi_param = FindParam(params, "poi");
-  if (poi_param == nullptr || !ParseInt64(*poi_param, &p.poi)) {
-    *http_status = 400;
-    return ErrorJson("missing or invalid 'poi'");
-  }
-  p.city = -1;  // negative = derive from the POI
-  if (const std::string* c = FindParam(params, "city")) {
-    if (!ParseInt64(*c, &p.city)) {
-      *http_status = 400;
-      return ErrorJson("invalid 'city'");
-    }
-  }
-  p.t = -1.0;
-  if (const std::string* t = FindParam(params, "t")) {
-    if (!ParseDoubleParam(*t, &p.t) || p.t < 0.0) {
-      *http_status = 400;
-      return ErrorJson("invalid 't'");
-    }
-  }
-  return CheckinBody(p, http_status);
-}
-
 std::string RecommendServer::HealthzBody(int* http_status) const {
   // A load balancer polling /healthz must see a non-200 when this replica
   // cannot serve real scores: no loadable model, or embedding shards down
@@ -1171,8 +743,12 @@ std::string RecommendServer::HealthzBody(int* http_status) const {
 }
 
 bool RecommendServer::StoreUsable(const ModelSnapshot& snapshot) const {
-  return store_ != nullptr && snapshot.model != nullptr &&
-         snapshot.version == store_version_;
+  if (store_ == nullptr || snapshot.model == nullptr) return false;
+  if (snapshot.version != store_version_) {
+    stats_->store_bypassed.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  return true;
 }
 
 bool RecommendServer::ScoreViaStore(const StTransRec& model, UserId user,
@@ -1213,15 +789,6 @@ void RecommendServer::PopularityScores(std::span<const PoiId> pois,
   for (size_t i = 0; i < pois.size(); ++i) {
     (*scores)[i] = poi_popularity_[static_cast<size_t>(pois[i])];
   }
-}
-
-std::string RecommendServer::HandleStatz() const {
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  RefreshSnapshotGauges();
-  return stats_->ToJson(uptime);
 }
 
 }  // namespace sttr::serve

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "serve/batcher.h"
 #include "serve/candidate_index.h"
 #include "serve/conn.h"
 #include "serve/embedding_store.h"
@@ -28,44 +26,23 @@
 
 namespace sttr::serve {
 
-/// How the server drives its sockets.
-enum class ServeMode {
-  /// Epoll event loops own nonblocking sockets and parse incrementally;
-  /// complete requests are handed to a scoring worker pool over a bounded
-  /// ring and responses are written back via write readiness. The
-  /// steady-state request path performs zero heap allocations. Scales to
-  /// thousands of mostly-idle keep-alive connections.
-  kEventLoop,
-  /// The original thread-per-connection blocking implementation: a worker
-  /// blocks on recv/send for one connection at a time, so concurrency is
-  /// capped at num_workers. Kept as the byte-exact reference the event-loop
-  /// mode is equivalence-tested against, and as the benchmark baseline.
-  kBlocking,
-};
-
 struct ServerConfig {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   int port = 0;
-  /// Socket strategy; see ServeMode. Event loop is the default.
-  ServeMode mode = ServeMode::kEventLoop;
-  /// kBlocking: handler threads == max concurrently served connections.
-  /// kEventLoop: scoring worker threads draining the request ring.
+  /// Scoring worker threads draining the request ring.
   size_t num_workers = 8;
-  /// kEventLoop: epoll I/O threads. One loop comfortably drives thousands
-  /// of keep-alive connections; scoring parallelism lives in num_workers.
+  /// Epoll I/O threads. One loop comfortably drives thousands of keep-alive
+  /// connections; scoring parallelism lives in num_workers.
   size_t num_io_threads = 1;
-  /// kBlocking: accepted connections beyond the workers queue up to this
-  /// depth; past it they are answered 503 and closed.
-  size_t max_pending_connections = 64;
-  /// kEventLoop: open sockets across all loops; connections beyond the cap
-  /// are answered 503 and closed.
+  /// Open sockets across all loops; connections beyond the cap are answered
+  /// 503 and closed. Also sizes the listen backlog.
   size_t max_connections = 4096;
-  /// kEventLoop: bounded loop->worker request ring. When full, requests are
-  /// answered 503 "server overloaded" immediately (admission control)
-  /// instead of queueing unboundedly.
+  /// Bounded loop->worker request ring. When full, requests are answered
+  /// 503 "server overloaded" immediately (admission control) instead of
+  /// queueing unboundedly.
   size_t max_queued_requests = 1024;
-  /// Per-read socket timeout; an idle keep-alive connection is closed when
-  /// it fires (a stranded partial request gets a 408 first).
+  /// Idle timeout of a connection; an idle keep-alive connection is closed
+  /// when it fires (a stranded partial request gets a 408 first).
   std::chrono::milliseconds request_timeout{5000};
   /// Request line + headers larger than this are rejected 431.
   size_t max_request_bytes = 16 * 1024;
@@ -105,24 +82,26 @@ struct ServerConfig {
 /// &hour=H time-of-day parameter.
 ///
 /// One request's path: snapshot capture -> cache probe (keyed by the query
-/// location's grid cell) -> candidate generation -> micro-batched scoring ->
-/// TopKByScore -> cache fill. Keep-alive and pipelining are supported;
-/// shutdown is graceful (stop accepting, finish in-flight requests, join
-/// every thread). The two ServeModes produce byte-identical responses.
+/// location's grid cell) -> candidate generation -> ScorePairs on the
+/// scoring worker -> TopKByScore -> cache fill. Keep-alive and pipelining
+/// are supported; shutdown is graceful (stop accepting, finish in-flight
+/// requests, join every thread). The response bytes are pinned by the
+/// recorded fixtures in tests/serve/golden/.
 ///
-/// Event-loop mode hot path (zero allocations once warmed): the loop parses
-/// from the connection's sticky buffer, validates parameters as views, and
-/// enqueues a POD task; a worker probes the cache into per-worker scratch,
-/// assembles JSON in the connection's arena, and posts a completion; the
-/// loop serializes headers into the same arena and writes. Allocation
-/// counters (ServeStats::hot_allocs et al., fed by the counting operator-new
-/// hook) assert the property instead of claiming it.
+/// Sockets are driven by epoll event loops that own nonblocking sockets and
+/// parse incrementally; complete requests go to the scoring workers over a
+/// bounded ring and responses are written back via write readiness. Hot
+/// path (zero allocations once warmed): the loop parses from the
+/// connection's sticky buffer, validates parameters as views, and enqueues
+/// a POD task; a worker probes the cache into per-worker scratch, assembles
+/// JSON in the connection's arena, and posts a completion; the loop
+/// serializes headers into the same arena and writes. Allocation counters
+/// (ServeStats::hot_allocs et al., fed by the counting operator-new hook)
+/// assert the property instead of claiming it.
 class RecommendServer {
  public:
   /// All dependencies must outlive the server. `cache` may be null iff
-  /// config.enable_cache is false. `batcher` may be null: requests then
-  /// score inline on their worker thread (per-request mode, the loadgen's
-  /// micro-batching baseline), bit-identical to the batched path.
+  /// config.enable_cache is false.
   ///
   /// `store` (optional) routes embedding lookups through an EmbeddingStore
   /// instead of the snapshot's own tables: rows are gathered under
@@ -133,16 +112,18 @@ class RecommendServer {
   /// "degraded": true in the response, never silently different scores.
   /// Store-backed responses additionally carry "degraded": false, so a
   /// store-less server's bytes are unchanged. The store only applies to
-  /// fp32 snapshots of the model version serving when Start() ran; after a
-  /// hot reload the server scores in-process again (correct, not degraded).
+  /// fp32 snapshots of the model version serving when Start() ran. A hot
+  /// reload or a streaming delta changes the version; from then on requests
+  /// score in-process (correct, not degraded) and each one is counted in
+  /// ServeStats::store_bypassed.
   ///
   /// `ingest` (optional) enables POST /checkin, feeding the streaming
   /// trainer; without it the route answers 404. `cold_start` (optional)
   /// enables word-bridge scoring for target-city-cold users on /recommend.
   RecommendServer(ServerConfig config, const Dataset& dataset,
                   ModelBundle* bundle, CandidateIndex* index,
-                  ScoreBatcher* batcher, ResultCache* cache,
-                  ServeStats* stats, EmbeddingStore* store = nullptr,
+                  ResultCache* cache, ServeStats* stats,
+                  EmbeddingStore* store = nullptr,
                   stream::IngestService* ingest = nullptr,
                   const stream::ColdStartScorer* cold_start = nullptr);
   ~RecommendServer();
@@ -163,8 +144,6 @@ class RecommendServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:
-  // ---- Event-loop mode ------------------------------------------------
-
   /// Validated /recommend parameters, plain data so a queued task copies
   /// them out of the connection's input buffer before the views die.
   struct RequestParams {
@@ -207,8 +186,8 @@ class RecommendServer {
   /// pre-serialized bodies), enqueues real work for the scoring workers.
   EventLoop::Dispatch OnRequest(EventLoop* loop, Conn& conn,
                                 const ParsedRequest& req);
-  /// Parses and validates ?query params with the blocking path's exact
-  /// semantics and error precedence. False: *status/*error describe the 400.
+  /// Parses and validates ?query params (first occurrence of a name wins;
+  /// errors in a fixed precedence). False: *status/*error describe the 400.
   bool ParseRecommendParams(std::string_view query, RequestParams* out,
                             int* status, std::string_view* error) const;
   /// /checkin analogue of ParseRecommendParams; id range checks live in
@@ -217,8 +196,7 @@ class RecommendServer {
                           int* status, std::string_view* error) const;
   bool EnqueueTask(const Task& task) EXCLUDES(task_mu_);
   void ScoringWorkerLoop() EXCLUDES(task_mu_);
-  /// Fill conn.body/http_status; called from a scoring worker (event-loop
-  /// mode). Byte-identical to the blocking HandleRecommend/Healthz/Statz.
+  /// Fill conn.body/http_status; called from a scoring worker.
   void ProcessRecommend(const RequestParams& params, WorkerScratch& scratch,
                         Conn& conn);
   void ProcessHealthz(Conn& conn);
@@ -229,28 +207,15 @@ class RecommendServer {
   void RefreshSnapshotGauges() const;
   void RecordLatency(std::chrono::steady_clock::time_point start);
 
-  // ---- Blocking mode (legacy reference implementation) ----------------
-
-  void WorkerLoop() EXCLUDES(queue_mu_);
-  /// Serves one connection (possibly many keep-alive requests).
-  void HandleConnection(int fd);
-  /// Parses and answers a single request; false ends the connection.
-  bool HandleOneRequest(int fd, std::string& buffer);
-  std::string HandleRecommend(const std::string& query, int* http_status);
-  std::string HandleCheckin(const std::string& query, int* http_status);
-  std::string HandleStatz() const;
-
-  /// Submits a parsed check-in and builds the response body — the single
-  /// implementation both modes share, so their bytes cannot drift.
+  /// Submits a parsed check-in and builds the response body.
   std::string CheckinBody(const RequestParams& params, int* http_status);
 
-  // ---- Shared ---------------------------------------------------------
-
-  void AcceptLoop() EXCLUDES(queue_mu_);
+  void AcceptLoop();
 
   /// True when this request's snapshot can score through the configured
   /// store: fp32 model present and still the version the store was built
-  /// against.
+  /// against. A store-backed server's request that fails the version check
+  /// bumps ServeStats::store_bypassed.
   bool StoreUsable(const ModelSnapshot& snapshot) const;
   /// Store-backed scoring: gathers the user and candidate rows under
   /// config.store_deadline, assembles the MLP input exactly as ScorePairs
@@ -262,15 +227,14 @@ class RecommendServer {
   /// Degraded ranking: global check-in popularity of each candidate.
   void PopularityScores(std::span<const PoiId> pois,
                         std::vector<double>* scores) const;
-  /// /healthz body + status shared by both modes: 503 with a reason while
-  /// no model is loadable or the store has shards down, 200 otherwise.
+  /// /healthz body + status: 503 with a reason while no model is loadable
+  /// or the store has shards down, 200 otherwise.
   std::string HealthzBody(int* http_status) const;
 
   ServerConfig config_;
   const Dataset& dataset_;
   ModelBundle* bundle_;
   CandidateIndex* index_;
-  ScoreBatcher* batcher_;
   ResultCache* cache_;
   ServeStats* stats_;
   EmbeddingStore* store_;
@@ -285,15 +249,9 @@ class RecommendServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> shutting_down_{false};
   std::chrono::steady_clock::time_point started_at_;
 
-  // Blocking mode: pending accepted sockets -> handler threads.
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<int> pending_ GUARDED_BY(queue_mu_);
-
-  // Event-loop mode: bounded request ring -> scoring workers.
+  // Bounded request ring -> scoring workers.
   Mutex task_mu_;
   CondVar task_cv_;
   std::vector<Task> ring_ GUARDED_BY(task_mu_);

@@ -99,8 +99,6 @@ void LatencyHistogram::Reset() {
 std::string ServeStats::ToJson(double uptime_seconds) const {
   const LatencyHistogram::Summary lat = request_latency.Summarize();
   const uint64_t reqs = requests.load(std::memory_order_relaxed);
-  const uint64_t n_batches = batches.load(std::memory_order_relaxed);
-  const uint64_t n_batched = batched_requests.load(std::memory_order_relaxed);
   std::ostringstream os;
   os << "{";
   os << "\"requests\": " << reqs;
@@ -108,15 +106,8 @@ std::string ServeStats::ToJson(double uptime_seconds) const {
   os << ", \"cache_hits\": " << cache_hits.load(std::memory_order_relaxed);
   os << ", \"cache_misses\": "
      << cache_misses.load(std::memory_order_relaxed);
-  os << ", \"batches\": " << n_batches;
-  os << ", \"batched_requests\": " << n_batched;
   os << ", \"scored_pairs\": "
      << scored_pairs.load(std::memory_order_relaxed);
-  os << ", \"mean_batch_occupancy\": "
-     << StrFormat("%.3f", n_batches == 0
-                              ? 0.0
-                              : static_cast<double>(n_batched) /
-                                    static_cast<double>(n_batches));
   os << ", \"model_reloads\": "
      << model_reloads.load(std::memory_order_relaxed);
   os << ", \"model_reload_failures\": "
@@ -141,7 +132,8 @@ std::string ServeStats::ToJson(double uptime_seconds) const {
      << ", \"degraded_requests\": "
      << degraded_requests.load(std::memory_order_relaxed)
      << ", \"shards_down\": " << shards_down.load(std::memory_order_relaxed)
-     << "}";
+     << ", \"store_bypassed\": "
+     << store_bypassed.load(std::memory_order_relaxed) << "}";
   {
     const LatencyHistogram::Summary apply = delta_apply_latency.Summarize();
     os << ", \"ingest\": {\"checkins_http\": "

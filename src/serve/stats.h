@@ -67,9 +67,7 @@ struct ServeStats {
   std::atomic<uint64_t> bad_requests{0};    ///< 4xx responses
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> batches{0};           ///< ScorePairs flushes
-  std::atomic<uint64_t> batched_requests{0};  ///< requests inside flushes
-  std::atomic<uint64_t> scored_pairs{0};      ///< (user, poi) pairs scored
+  std::atomic<uint64_t> scored_pairs{0};  ///< (user, poi) pairs scored
   std::atomic<uint64_t> model_reloads{0};
   /// Reload attempts that found a newer checkpoint but failed to load it
   /// (the old snapshot keeps serving). The failure *reason* is kept in the
@@ -90,7 +88,7 @@ struct ServeStats {
   std::atomic<uint64_t> hot_allocs{0};        ///< allocs inside those (0 warmed)
   std::atomic<uint64_t> loop_allocs{0};       ///< allocs on event-loop threads
 
-  // Syscall tallies from the event loops (and the blocking path's I/O).
+  // Syscall tallies from the event loops.
   std::atomic<uint64_t> sys_reads{0};
   std::atomic<uint64_t> sys_writes{0};
   std::atomic<uint64_t> sys_epoll_waits{0};
@@ -102,6 +100,9 @@ struct ServeStats {
   std::atomic<uint64_t> shard_retries{0};  ///< re-sent per-shard sub-gathers
   std::atomic<uint64_t> degraded_requests{0};  ///< fallback-ranked responses
   std::atomic<uint64_t> shards_down{0};        ///< gauge: tripped shards
+  /// Requests of a store-backed server scored in-process because a reload
+  /// or a streaming delta moved the model past the store's version.
+  std::atomic<uint64_t> store_bypassed{0};
 
   // Streaming ingestion (src/stream/): producer-side counters live in the
   // embedded IngestStats (bumped by the ingest service), consumer-side

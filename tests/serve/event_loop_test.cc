@@ -2,8 +2,8 @@
 // partial reads and writes, bounded/malformed input, idle timeouts, the
 // async completion hand-off, the connection cap, and lifecycle churn. The
 // loop is driven standalone with tiny synthetic handlers — server-level
-// semantics (routing, scoring, byte-parity with the blocking mode) live in
-// server_test.cc and server_equivalence_test.cc.
+// semantics (routing, scoring, the recorded HTTP contract) live in
+// server_test.cc and golden_test.cc.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -256,8 +256,7 @@ TEST(EventLoopTest, IdleTimeoutClosesSilentlyAndStrandedRequestGets408) {
   EventLoop::Options opts;
   opts.idle_timeout = std::chrono::milliseconds(100);
   LoopHarness harness(opts, EchoPath());
-  // Fully idle: closed with no bytes (same as the blocking server's receive
-  // timeout on an empty buffer).
+  // Fully idle: closed with no bytes.
   Client idle(harness.port());
   // Stranded partial request: answered 408 then closed.
   Client stranded(harness.port());
@@ -421,8 +420,7 @@ TEST(EventLoopTest, PipelinedAsyncCompletionsNeverWaitForTheTimeout) {
 TEST(EventLoopTest, StopDrainsInFlightAsyncRequests) {
   // Shutdown must not drop a request already handed to a worker: the client
   // gets the full response (Connection mirrors the request's keep-alive,
-  // but the socket closes after — same as the blocking server's graceful
-  // drain).
+  // but the socket closes after).
   AsyncEcho async(std::chrono::milliseconds(100));
   auto harness = std::make_unique<LoopHarness>(EventLoop::Options{},
                                                async.handler());

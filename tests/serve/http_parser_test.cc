@@ -1,9 +1,8 @@
 // Unit tests for the incremental HTTP/1.1 request-head parser and the
 // response serializers. The parser is driven exactly as the event loop
 // drives it — over a growing buffer, byte at a time, with pipelined and
-// partial input — and its verdicts must reproduce the blocking
-// implementation's request-line/header semantics (the equivalence suite then
-// pins the end-to-end bytes).
+// partial input — and its verdicts pin the request-line/header semantics
+// (golden_test.cc then pins the end-to-end bytes).
 
 #include <string>
 #include <string_view>
@@ -82,8 +81,8 @@ TEST(HttpParserTest, ConnectionCloseIsCaseInsensitiveAndTrimmed) {
   ASSERT_EQ(Parse("GET / HTTP/1.1\r\n  CONNECTION: Close  \r\n\r\n", &req),
             ParseStatus::kComplete);
   EXPECT_FALSE(req.keep_alive);
-  // Internal whitespace is significant — same exact comparison as the
-  // blocking server's ToLower(Trim(line)) == "connection: close".
+  // Internal whitespace is significant: the trimmed, lowercased line must
+  // equal "connection: close" exactly.
   ASSERT_EQ(Parse("GET / HTTP/1.1\r\nConnection:   close\r\n\r\n", &req),
             ParseStatus::kComplete);
   EXPECT_TRUE(req.keep_alive);
@@ -104,7 +103,7 @@ TEST(HttpParserTest, MalformedRequestLines) {
   // Wrong protocol.
   EXPECT_EQ(Parse("GET / SMTP/1.0\r\n\r\n", &req), ParseStatus::kMalformed);
   EXPECT_EQ(Parse("GET / HTTP/2\r\n\r\n", &req), ParseStatus::kMalformed);
-  // HTTP/1.x is accepted (prefix match, like the blocking StartsWith).
+  // HTTP/1.x is accepted (prefix match).
   EXPECT_EQ(Parse("GET / HTTP/1.0\r\n\r\n", &req), ParseStatus::kComplete);
 }
 
@@ -171,7 +170,7 @@ TEST(HttpSerializeTest, ArenaAndHeapSerializersAgreeByteForByte) {
   }
 }
 
-TEST(HttpSerializeTest, SerializedBytesMatchTheBlockingFormat) {
+TEST(HttpSerializeTest, SerializedBytesMatchTheWireFormat) {
   EXPECT_EQ(SerializeResponse(200, "{}", true),
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/json\r\n"

@@ -39,7 +39,7 @@ class ModelBundleTest : public ::testing::Test {
   ModelBundleConfig BundleConfig(const std::string& dir) {
     ModelBundleConfig config;
     config.checkpoint_dir = dir;
-    config.model = SmallServeModelConfig();
+    config.model = SmallServingModelConfig();
     return config;
   }
 
@@ -73,7 +73,7 @@ TEST_F(ModelBundleTest, LoadInitialServesNewestCheckpointExactly) {
   ASSERT_TRUE(bundle.LoadInitial().ok());
   const auto snapshot = bundle.snapshot();
   ASSERT_NE(snapshot, nullptr);
-  EXPECT_EQ(snapshot->epoch, SmallServeModelConfig().num_epochs);
+  EXPECT_EQ(snapshot->epoch, SmallServingModelConfig().num_epochs);
   EXPECT_EQ(snapshot->version, 1u);
   EXPECT_EQ(bundle.reload_count(), 1u);
 

@@ -42,7 +42,7 @@ class PrecisionReloadTest : public ::testing::Test {
   ModelBundleConfig BundleConfig(const std::string& dir, PrecisionMode mode) {
     ModelBundleConfig config;
     config.checkpoint_dir = dir;
-    config.model = SmallServeModelConfig();
+    config.model = SmallServingModelConfig();
     config.precision = mode;
     return config;
   }
@@ -86,7 +86,7 @@ ServeFixture* PrecisionReloadTest::fixture_ = nullptr;
 TEST_F(PrecisionReloadTest, AutoPrefersQuantizedArtifactOnEpochTie) {
   const std::string dir = ServeTestDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
-  const size_t epoch = SmallServeModelConfig().num_epochs;
+  const size_t epoch = SmallServingModelConfig().num_epochs;
   LandQuantArtifact(*trainer, dir, epoch);
 
   ModelBundle bundle(dataset(), split(),
@@ -157,7 +157,7 @@ TEST_F(PrecisionReloadTest, Int8ModeServesQuantDir) {
 TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
   const std::string dir = ServeTestDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
-  const size_t epoch = SmallServeModelConfig().num_epochs;
+  const size_t epoch = SmallServingModelConfig().num_epochs;
 
   ModelBundle bundle(dataset(), split(),
                      BundleConfig(dir, PrecisionMode::kAuto));
@@ -217,7 +217,7 @@ TEST_F(PrecisionReloadTest, ResultCacheKeysDistinguishPrecision) {
 TEST_F(PrecisionReloadTest, WatcherSwapsPrecisionUnderConcurrentScoring) {
   const std::string dir = ServeTestDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
-  const size_t epoch = SmallServeModelConfig().num_epochs;
+  const size_t epoch = SmallServingModelConfig().num_epochs;
 
   ModelBundleConfig config = BundleConfig(dir, PrecisionMode::kAuto);
   config.poll_interval = std::chrono::milliseconds(2);

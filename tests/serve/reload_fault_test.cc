@@ -86,13 +86,13 @@ ServeFixture* ReloadFaultTest::fixture_ = nullptr;
 TEST_F(ReloadFaultTest, FailedReloadKeepsOldSnapshotAndIsVisible) {
   const std::string dir = ServeTestDir();
   TrainSmallModel(*fixture_, dir);
-  const size_t epoch = SmallServeModelConfig().num_epochs;
+  const size_t epoch = SmallServingModelConfig().num_epochs;
 
   FaultInjectionEnv fault_env;
   ServeStats stats;
   ModelBundleConfig config;
   config.checkpoint_dir = dir;
-  config.model = SmallServeModelConfig();
+  config.model = SmallServingModelConfig();
   config.env = &fault_env;
   config.stats = &stats;
   ModelBundle bundle(dataset(), split(), config);
@@ -155,14 +155,14 @@ TEST_F(ReloadFaultTest, FailedReloadKeepsOldSnapshotAndIsVisible) {
 TEST_F(ReloadFaultTest, WatcherSurvivesTornQuantReloadAndRecovers) {
   const std::string dir = ServeTestDir();
   const auto trainer = TrainSmallModel(*fixture_, dir);
-  const size_t epoch = SmallServeModelConfig().num_epochs;
+  const size_t epoch = SmallServingModelConfig().num_epochs;
   LandQuantArtifact(*trainer, dir, epoch);
 
   FaultInjectionEnv fault_env;
   ServeStats stats;
   ModelBundleConfig config;
   config.checkpoint_dir = dir;
-  config.model = SmallServeModelConfig();
+  config.model = SmallServingModelConfig();
   config.precision = PrecisionMode::kAuto;
   config.poll_interval = std::chrono::milliseconds(10);
   config.env = &fault_env;

@@ -34,7 +34,7 @@ inline ServeFixture MakeServeFixture() {
 
 /// Small-and-deterministic model config (one in-process worker) that trains
 /// on the tiny world in well under a second.
-inline StTransRecConfig SmallServeModelConfig() {
+inline StTransRecConfig SmallServingModelConfig() {
   StTransRecConfig cfg;
   cfg.embedding_dim = 8;
   cfg.hidden_dims = {16};
@@ -48,7 +48,7 @@ inline StTransRecConfig SmallServeModelConfig() {
 /// Trains a model, writing checkpoints into `ckpt_dir` when non-empty.
 inline std::shared_ptr<StTransRec> TrainSmallModel(
     const ServeFixture& f, const std::string& ckpt_dir = "") {
-  StTransRecConfig cfg = SmallServeModelConfig();
+  StTransRecConfig cfg = SmallServingModelConfig();
   cfg.checkpoint_dir = ckpt_dir;
   auto model = std::make_shared<StTransRec>(cfg);
   STTR_CHECK_OK(model->Fit(f.world.dataset, f.split));

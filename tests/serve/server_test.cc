@@ -1,15 +1,19 @@
 // End-to-end HTTP tests over real loopback sockets: the full serving stack
-// (bundle + index + batcher + cache + server) must return exactly what the
-// offline ranking path computes — identical POI ids and scores — for lone
-// requests and for concurrent mixed-user traffic; plus endpoint/error
-// semantics, caching behaviour and graceful shutdown. The whole suite runs
-// twice, parameterized over ServeMode: the epoll event-loop core and the
-// blocking thread-per-connection reference must pass the same tests.
-// (Byte-level cross-mode comparisons live in server_equivalence_test.cc.)
+// (bundle + index + cache + server) must return exactly what the offline
+// ranking path computes — identical POI ids and scores — for lone requests
+// and for concurrent mixed-user traffic; plus endpoint/error semantics,
+// caching behaviour and graceful shutdown, also under concurrent traffic.
+// (The byte-level HTTP contract lives in golden_test.cc.)
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "core/recommender.h"
-#include "serve/batcher.h"
 #include "serve/candidate_index.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
@@ -51,9 +54,8 @@ std::vector<std::pair<PoiId, double>> ParseResults(const std::string& body) {
   return out;
 }
 
-/// The full serving stack on an ephemeral loopback port, run once per
-/// ServeMode.
-class ServerTest : public ::testing::TestWithParam<ServeMode> {
+/// The full serving stack on an ephemeral loopback port.
+class ServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
@@ -73,7 +75,7 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
   void SetUp() override {
     ModelBundleConfig bundle_config;
     bundle_config.checkpoint_dir = *ckpt_dir_;
-    bundle_config.model = SmallServeModelConfig();
+    bundle_config.model = SmallServingModelConfig();
     bundle_ = std::make_unique<ModelBundle>(fixture_->world.dataset,
                                             fixture_->split, bundle_config);
     ASSERT_TRUE(bundle_->LoadInitial().ok());
@@ -83,9 +85,6 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
     index_ = std::make_unique<CandidateIndex>(fixture_->world.dataset,
                                               &fixture_->split, index_config);
 
-    batcher_ = std::make_unique<ScoreBatcher>(BatcherConfig{}, &stats_);
-    batcher_->Start();
-
     ResultCacheConfig cache_config;
     cache_config.ttl = std::chrono::milliseconds(0);
     cache_ = std::make_unique<ResultCache>(cache_config);
@@ -93,18 +92,16 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
         [this](const ModelSnapshot&) { cache_->InvalidateAll(); });
 
     ServerConfig server_config;
-    server_config.mode = GetParam();
     server_config.num_workers = 4;
     server_config.default_city = fixture_->split.target_city;
     server_ = std::make_unique<RecommendServer>(
         server_config, fixture_->world.dataset, bundle_.get(), index_.get(),
-        batcher_.get(), cache_.get(), &stats_);
+        cache_.get(), &stats_);
     ASSERT_TRUE(server_->Start().ok());
   }
 
   void TearDown() override {
     if (server_ != nullptr) server_->Shutdown();
-    if (batcher_ != nullptr) batcher_->Stop();
   }
 
   const Dataset& dataset() { return fixture_->world.dataset; }
@@ -145,7 +142,6 @@ class ServerTest : public ::testing::TestWithParam<ServeMode> {
   ServeStats stats_;
   std::unique_ptr<ModelBundle> bundle_;
   std::unique_ptr<CandidateIndex> index_;
-  std::unique_ptr<ScoreBatcher> batcher_;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<RecommendServer> server_;
 };
@@ -154,8 +150,11 @@ ServeFixture* ServerTest::fixture_ = nullptr;
 std::string* ServerTest::ckpt_dir_ = nullptr;
 std::shared_ptr<StTransRec>* ServerTest::trainer_ = nullptr;
 
-TEST_P(ServerTest, RecommendMatchesOfflineRankingExactly) {
+TEST_F(ServerTest, RecommendMatchesOfflineRankingExactly) {
+  // The worker scores each request's candidates inline with one ScorePairs
+  // call; the ids and scores must equal ScoreBatch + TopKByScore offline.
   TestHttpClient client(server_->port());
+  uint64_t pairs = 0;
   for (UserId user = 0; user < 5; ++user) {
     const GeoPoint loc = PoiLocation(static_cast<size_t>(user) * 7);
     const auto response =
@@ -169,40 +168,14 @@ TEST_P(ServerTest, RecommendMatchesOfflineRankingExactly) {
       // %.17g round-trips doubles exactly.
       EXPECT_EQ(got[i].second, want[i].second) << "rank " << i;
     }
+    pairs += index_->Candidates(target_city(), loc).size();
   }
+  EXPECT_EQ(stats_.scored_pairs.load(), pairs);
 }
 
-TEST_P(ServerTest, InlineScoringWithoutBatcherMatchesOfflineRanking) {
-  // A null batcher puts the server in per-request mode: handlers score
-  // inline. Results must still be bit-identical to the offline ranking
-  // (and therefore to the batched path, which the other tests pin).
-  server_->Shutdown();
-  ServerConfig server_config;
-  server_config.mode = GetParam();
-  server_config.num_workers = 4;
-  server_config.default_city = fixture_->split.target_city;
-  server_ = std::make_unique<RecommendServer>(
-      server_config, fixture_->world.dataset, bundle_.get(), index_.get(),
-      /*batcher=*/nullptr, cache_.get(), &stats_);
-  ASSERT_TRUE(server_->Start().ok());
-
-  TestHttpClient client(server_->port());
-  for (UserId user = 0; user < 5; ++user) {
-    const GeoPoint loc = PoiLocation(static_cast<size_t>(user) * 7);
-    const auto response =
-        client.Get(RecommendTarget(user, loc, /*k=*/10, /*nocache=*/true));
-    ASSERT_EQ(response.status, 200) << response.body;
-    const auto got = ParseResults(response.body);
-    const auto want = ExpectedTopK(user, loc, 10);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].first, want[i].first) << "rank " << i;
-      EXPECT_EQ(got[i].second, want[i].second) << "rank " << i;
-    }
-  }
-}
-
-TEST_P(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
+TEST_F(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
+  // Eight clients over four scoring workers: ScorePairs runs on several
+  // workers at once, each with its own scratch.
   constexpr int kClients = 8;
   constexpr int kPerClient = 5;
   std::atomic<int> mismatches{0};
@@ -226,10 +199,10 @@ TEST_P(ServerTest, ConcurrentMixedRequestsMatchOfflineRanking) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0)
-      << "micro-batched concurrent serving diverged from serial ranking";
+      << "concurrent serving diverged from serial ranking";
 }
 
-TEST_P(ServerTest, CacheServesSecondRequestAndReportsIt) {
+TEST_F(ServerTest, CacheServesSecondRequestAndReportsIt) {
   TestHttpClient client(server_->port());
   const GeoPoint loc = PoiLocation(2);
   const std::string target = RecommendTarget(7, loc, 10);
@@ -251,7 +224,7 @@ TEST_P(ServerTest, CacheServesSecondRequestAndReportsIt) {
   EXPECT_EQ(ParseResults(bypass.body), ParseResults(cold.body));
 }
 
-TEST_P(ServerTest, HealthzReportsServingCheckpoint) {
+TEST_F(ServerTest, HealthzReportsServingCheckpoint) {
   TestHttpClient client(server_->port());
   const auto response = client.Get("/healthz");
   ASSERT_EQ(response.status, 200);
@@ -260,7 +233,7 @@ TEST_P(ServerTest, HealthzReportsServingCheckpoint) {
   EXPECT_NE(response.body.find("\"model_version\": 1"), std::string::npos);
 }
 
-TEST_P(ServerTest, StatzCountsTraffic) {
+TEST_F(ServerTest, StatzCountsTraffic) {
   TestHttpClient client(server_->port());
   client.Get(RecommendTarget(1, PoiLocation(0), 5));
   client.Get("/recommend");  // 400
@@ -272,7 +245,7 @@ TEST_P(ServerTest, StatzCountsTraffic) {
   EXPECT_NE(response.body.find("\"latency_ms\""), std::string::npos);
 }
 
-TEST_P(ServerTest, RejectsBadRequests) {
+TEST_F(ServerTest, RejectsBadRequests) {
   TestHttpClient client(server_->port());
   EXPECT_EQ(client.Get("/recommend").status, 400);  // no params
   EXPECT_EQ(client.Get("/recommend?user=notanumber&lat=1&lon=1").status, 400);
@@ -285,7 +258,7 @@ TEST_P(ServerTest, RejectsBadRequests) {
   EXPECT_GE(stats_.bad_requests.load(), 8u);
 }
 
-TEST_P(ServerTest, RejectsMalformedAndOversizedRequests) {
+TEST_F(ServerTest, RejectsMalformedAndOversizedRequests) {
   {
     TestHttpClient client(server_->port());
     const auto response = client.Roundtrip("NONSENSE\r\n\r\n");
@@ -303,7 +276,7 @@ TEST_P(ServerTest, RejectsMalformedAndOversizedRequests) {
   }
 }
 
-TEST_P(ServerTest, ConnectionCloseHeaderIsHonoured) {
+TEST_F(ServerTest, ConnectionCloseHeaderIsHonoured) {
   TestHttpClient client(server_->port());
   const auto response = client.Roundtrip(
       "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
@@ -311,14 +284,74 @@ TEST_P(ServerTest, ConnectionCloseHeaderIsHonoured) {
   EXPECT_TRUE(client.WaitForClose());
 }
 
-TEST_P(ServerTest, GracefulShutdownIsIdempotentAndStopsServing) {
+TEST_F(ServerTest, GracefulShutdownIsIdempotentAndStopsServing) {
   EXPECT_TRUE(server_->running());
   server_->Shutdown();
   EXPECT_FALSE(server_->running());
   server_->Shutdown();  // idempotent
 }
 
-TEST_P(ServerTest, PipelinedRequestsAnswerInOrder) {
+TEST_F(ServerTest, ShutdownUnderConcurrentTrafficIsGraceful) {
+  // Shutting the server down while clients hammer it must never crash,
+  // deadlock, or hand out a torn response — every response that does
+  // arrive is complete and well-formed.
+  constexpr int kClients = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> clients;
+  const int port = server_->port();
+  const std::string raw = "GET " + RecommendTarget(1, PoiLocation(2), 5) +
+                          " HTTP/1.1\r\nHost: t\r\n\r\n";
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        // Tolerant client: the server may close at any point; the only
+        // failure is a *partial* response (headers promising more body
+        // bytes than arrive before EOF).
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (fd < 0) continue;
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(static_cast<uint16_t>(port));
+        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)) != 0 ||
+            ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) !=
+                static_cast<ssize_t>(raw.size())) {
+          ::close(fd);
+          continue;
+        }
+        std::string buf;
+        char chunk[4096];
+        ssize_t n;
+        while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+          buf.append(chunk, static_cast<size_t>(n));
+        }
+        ::close(fd);
+        const size_t head_end = buf.find("\r\n\r\n");
+        if (buf.empty()) continue;  // rejected before a response: fine
+        if (head_end == std::string::npos) {
+          torn.fetch_add(1);
+          continue;
+        }
+        const size_t cl = buf.find("Content-Length: ");
+        if (cl == std::string::npos ||
+            buf.size() - head_end - 4 != std::strtoull(buf.c_str() + cl + 16,
+                                                       nullptr, 10)) {
+          torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  server_->Shutdown();
+  stop.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_FALSE(server_->running());
+}
+
+TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
   TestHttpClient client(server_->port());
   const GeoPoint loc = PoiLocation(3);
   std::string burst;
@@ -338,15 +371,6 @@ TEST_P(ServerTest, PipelinedRequestsAnswerInOrder) {
   EXPECT_NE(client.ReadResponse().body.find("\"status\": \"ok\""),
             std::string::npos);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ServerTest,
-                         ::testing::Values(ServeMode::kEventLoop,
-                                           ServeMode::kBlocking),
-                         [](const auto& param_info) {
-                           return param_info.param == ServeMode::kEventLoop
-                                      ? "EventLoop"
-                                      : "Blocking";
-                         });
 
 }  // namespace
 }  // namespace sttr::serve

@@ -1,14 +1,14 @@
 // Regression tests for the shutdown lifecycle races surfaced by the
-// thread-safety-annotation migration. ScoreBatcher::Stop() and
-// ModelBundle::StopWatcher() used to check joinable() under their mutex but
-// join() the *member* thread after dropping it, so two concurrent stops —
-// the canonical shape being an explicit Stop racing the destructor's — could
-// both reach join() on the same std::thread handle, which is undefined
-// behaviour (in practice std::terminate). Both now track lifecycle with an
-// explicit running_/stopping_ pair: exactly one caller (the one that flips
-// stopping_) moves the handle into a local and joins it, a Start that races
-// an in-progress stop is a no-op (keying Start off joinable() instead would
-// reset the stop flag and spawn a second worker while the old loop, now
+// thread-safety-annotation migration. ModelBundle::StopWatcher() used to
+// check joinable() under its mutex but join() the *member* thread after
+// dropping it, so two concurrent stops — the canonical shape being an
+// explicit stop racing the destructor's — could both reach join() on the
+// same std::thread handle, which is undefined behaviour (in practice
+// std::terminate). It now tracks lifecycle with an explicit
+// running_/stopping_ pair: exactly one caller (the one that flips
+// stopping_) moves the handle into a local and joins it, a start that races
+// an in-progress stop is a no-op (keying it off joinable() instead would
+// reset the stop flag and spawn a second watcher while the old loop, now
 // unable to see the stop, spins forever — hanging the stopper's join), and
 // latecomer stops block until the winner finishes, so a latecoming
 // destructor can't free the mutex/condvars under the winner. These tests
@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/batcher.h"
 #include "serve/model_bundle.h"
 #include "serve_test_util.h"
 
@@ -43,72 +42,6 @@ class StartGate {
   std::atomic<int64_t> waiting_for_;
 };
 
-TEST(ShutdownRaceTest, BatcherConcurrentStopJoinsDispatcherOnce) {
-  constexpr size_t kStoppers = 4;
-  constexpr int kRounds = 50;
-  for (int round = 0; round < kRounds; ++round) {
-    ScoreBatcher batcher(BatcherConfig{});
-    batcher.Start();
-    StartGate gate(kStoppers);
-    std::vector<std::thread> stoppers;
-    stoppers.reserve(kStoppers);
-    for (size_t i = 0; i < kStoppers; ++i) {
-      stoppers.emplace_back([&] {
-        gate.ArriveAndWait();
-        batcher.Stop();
-      });
-    }
-    for (auto& t : stoppers) t.join();
-    // The destructor's Stop() is yet another concurrent-in-spirit caller;
-    // it must see the batcher already stopped and return quietly.
-  }
-}
-
-TEST(ShutdownRaceTest, BatcherRestartsCleanlyAfterRacedStop) {
-  ScoreBatcher batcher(BatcherConfig{});
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    batcher.Start();
-    StartGate gate(2);
-    std::thread other([&] {
-      gate.ArriveAndWait();
-      batcher.Stop();
-    });
-    gate.ArriveAndWait();
-    batcher.Stop();
-    other.join();
-    EXPECT_EQ(batcher.num_batches(), 0u);
-  }
-}
-
-TEST(ShutdownRaceTest, BatcherStopReturnsOnlyAfterShutdownCompletes) {
-  // Any Stop() returning — winner or latecomer — means the dispatcher is
-  // joined and the batcher is restartable. Start() right after a raced
-  // Stop() must not collide with a stopper still mid-join (under the old
-  // back-off-early latecomers, the restart could interleave with the
-  // winner's post-join bookkeeping).
-  ScoreBatcher batcher(BatcherConfig{});
-  for (int cycle = 0; cycle < 25; ++cycle) {
-    batcher.Start();
-    StartGate gate(3);
-    std::thread s1([&] {
-      gate.ArriveAndWait();
-      batcher.Stop();
-    });
-    std::thread s2([&] {
-      gate.ArriveAndWait();
-      batcher.Stop();
-    });
-    gate.ArriveAndWait();
-    batcher.Stop();
-    batcher.Start();
-    // s1/s2 may stop this new generation instead — equally valid; the final
-    // Stop below leaves the batcher stopped either way.
-    s1.join();
-    s2.join();
-    batcher.Stop();
-  }
-}
-
 TEST(ShutdownRaceTest, BundleConcurrentStopWatcherJoinsOnce) {
   ServeFixture fixture = MakeServeFixture();
   ModelBundleConfig config;
@@ -116,7 +49,7 @@ TEST(ShutdownRaceTest, BundleConcurrentStopWatcherJoinsOnce) {
   // the state a watcher spends most of its life in. 1ms keeps it cycling
   // through the wait/reload boundary where StopWatcher must catch it.
   config.checkpoint_dir = ServeTestDir();
-  config.model = SmallServeModelConfig();
+  config.model = SmallServingModelConfig();
   config.poll_interval = std::chrono::milliseconds(1);
   ModelBundle bundle(fixture.world.dataset, fixture.split, config);
 
@@ -141,7 +74,7 @@ TEST(ShutdownRaceTest, BundleStartStopChurnFromManyThreads) {
   ServeFixture fixture = MakeServeFixture();
   ModelBundleConfig config;
   config.checkpoint_dir = ServeTestDir();
-  config.model = SmallServeModelConfig();
+  config.model = SmallServingModelConfig();
   config.poll_interval = std::chrono::milliseconds(1);
   ModelBundle bundle(fixture.world.dataset, fixture.split, config);
 

@@ -1,13 +1,14 @@
-// RecommendServer over an EmbeddingStore, end to end over real HTTP, in
-// both ServeModes: a sharded-store server must answer byte-for-byte what an
-// in-process-store server answers (which itself matches a store-less
-// server's scores), and when every shard is down the server must degrade
-// explicitly — "degraded": true with the popularity fallback, /healthz 503
-// with a reason, counters in /statz, and no degraded entry ever poisoning
-// the result cache.
-
+// RecommendServer over an EmbeddingStore, end to end over real HTTP: a
+// sharded-store server must answer byte-for-byte what an in-process-store
+// server answers (which itself matches a store-less server's scores), and
+// when every shard is down the server must degrade explicitly —
+// "degraded": true with the popularity fallback, /healthz 503 with a
+// reason, counters in /statz, and no degraded entry ever poisoning the
+// result cache. After a reload the server scores in-process and counts
+// each such request in /statz "store_bypassed".
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "serve/candidate_index.h"
 #include "serve/embedding_store.h"
 #include "serve/model_bundle.h"
@@ -27,6 +29,7 @@
 #include "serve_test_util.h"
 #include "test_http_client.h"
 #include "util/check.h"
+#include "util/fs.h"
 #include "util/string_util.h"
 
 namespace sttr::serve {
@@ -48,7 +51,7 @@ struct Stack {
   }
 };
 
-class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
+class StoreServerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new ServeFixture(MakeServeFixture());
@@ -78,12 +81,14 @@ class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
     for (auto& shard : shards_) shard->Shutdown();
   }
 
+  /// `ckpt_dir` empty: the suite's checkpoint directory.
   std::unique_ptr<Stack> MakeStack(EmbeddingStore* store,
-                                   bool with_cache = false) {
+                                   bool with_cache = false,
+                                   const std::string& ckpt_dir = "") {
     auto stack = std::make_unique<Stack>();
     ModelBundleConfig bundle_config;
-    bundle_config.checkpoint_dir = *ckpt_dir_;
-    bundle_config.model = SmallServeModelConfig();
+    bundle_config.checkpoint_dir = ckpt_dir.empty() ? *ckpt_dir_ : ckpt_dir;
+    bundle_config.model = SmallServingModelConfig();
     stack->bundle = std::make_unique<ModelBundle>(
         fixture_->world.dataset, fixture_->split, bundle_config);
     STTR_CHECK_OK(stack->bundle->LoadInitial());
@@ -100,15 +105,13 @@ class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
     }
 
     ServerConfig server_config;
-    server_config.mode = GetParam();
     server_config.num_workers = 4;
     server_config.default_city = fixture_->split.target_city;
     server_config.enable_cache = with_cache;
     server_config.store_deadline = std::chrono::milliseconds(500);
     stack->server = std::make_unique<RecommendServer>(
         server_config, fixture_->world.dataset, stack->bundle.get(),
-        stack->index.get(), /*batcher=*/nullptr, stack->cache.get(),
-        stack->stats.get(), store);
+        stack->index.get(), stack->cache.get(), stack->stats.get(), store);
     STTR_CHECK_OK(stack->server->Start());
     return stack;
   }
@@ -120,6 +123,12 @@ class StoreServerTest : public ::testing::TestWithParam<ServeMode> {
     const Tensor& pois = (*trainer_)->PoiEmbeddingTable();
     return std::make_unique<ShardedEmbeddingStore>(
         std::move(opts), users.cols(), users.rows(), pois.rows());
+  }
+
+  uint64_t GathersServed() const {
+    uint64_t total = 0;
+    for (const auto& shard : shards_) total += shard->gathers_served();
+    return total;
   }
 
   std::string RecommendTarget(UserId user, size_t poi_index, size_t k) {
@@ -148,7 +157,7 @@ std::shared_ptr<StTransRec>* StoreServerTest::trainer_ = nullptr;
 // The bit-identity chain, over the wire: a server gathering rows from shard
 // processes must answer the exact bytes of a server reading the tables
 // directly through the in-process store.
-TEST_P(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
+TEST_F(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
   InProcessEmbeddingStore oracle_store(*trainer_);
   auto sharded_store = MakeShardedStore();
   auto oracle = MakeStack(&oracle_store);
@@ -171,7 +180,7 @@ TEST_P(StoreServerTest, ShardedStoreAnswersBytesOfInProcessStore) {
 // And the chain's other link: a store-backed server must not change the
 // *scores* relative to a server with no store at all (whose body differs
 // only by the absent "degraded" field).
-TEST_P(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
+TEST_F(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
   auto storeless = MakeStack(nullptr);
   InProcessEmbeddingStore store(*trainer_);
   auto stored = MakeStack(&store);
@@ -191,7 +200,7 @@ TEST_P(StoreServerTest, StoreBackedScoresMatchStorelessServer) {
   EXPECT_EQ(got.body, want.body);
 }
 
-TEST_P(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
+TEST_F(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
   ShardedStoreOptions opts;
   // One retry so a stale pooled connection (dead since the shutdown below)
   // costs an attempt, not the request; threshold 2 still trips the breaker
@@ -266,14 +275,39 @@ TEST_P(StoreServerTest, AllShardsDownDegradesExplicitlyAndHealthzReports) {
   EXPECT_NE(degraded.body, recovered.body);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, StoreServerTest,
-                         ::testing::Values(ServeMode::kEventLoop,
-                                           ServeMode::kBlocking),
-                         [](const auto& mode_info) {
-                           return mode_info.param == ServeMode::kEventLoop
-                                      ? "EventLoop"
-                                      : "Blocking";
-                         });
+// The store holds the rows of the version serving at Start(). A reload
+// moves the snapshot past it: requests then score in-process, and /statz
+// counts each one instead of leaving the bypass silent.
+TEST_F(StoreServerTest, ReloadBypassesTheStoreAndCountsIt) {
+  const std::string dir = testing_util::ScratchDir("store_reload");
+  const auto latest = FindLatestValidCheckpoint(*Env::Default(), *ckpt_dir_);
+  ASSERT_TRUE(latest.ok());
+  std::filesystem::copy_file(
+      *latest,
+      std::filesystem::path(dir) / std::filesystem::path(*latest).filename());
+  auto store = MakeShardedStore();
+  auto stack = MakeStack(store.get(), /*with_cache=*/false, dir);
+  TestHttpClient client(stack->server->port());
+  ASSERT_EQ(client.Get(RecommendTarget(1, 0, 5)).status, 200);
+  EXPECT_EQ(stack->stats->store_bypassed.load(), 0u);
+  const uint64_t gathers = GathersServed();
+  EXPECT_GT(gathers, 0u);
+
+  std::filesystem::copy_file(
+      *latest, std::filesystem::path(dir) / CheckpointFileName(/*epoch=*/7));
+  const StatusOr<bool> swapped = stack->bundle->ReloadIfNewer();
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_TRUE(*swapped);
+
+  const auto after = client.Get(RecommendTarget(1, 0, 5));
+  ASSERT_EQ(after.status, 200);
+  EXPECT_NE(after.body.find("\"degraded\": false"), std::string::npos);
+  EXPECT_NE(after.body.find("\"model_version\": 2"), std::string::npos);
+  EXPECT_EQ(stack->stats->store_bypassed.load(), 1u);
+  EXPECT_EQ(GathersServed(), gathers) << "the shards saw a gather";
+  EXPECT_NE(client.Get("/statz").body.find("\"store_bypassed\": 1"),
+            std::string::npos);
+}
 
 }  // namespace
 }  // namespace sttr::serve

@@ -36,7 +36,7 @@ class ZeroAllocTest : public ::testing::Test {
 
     ModelBundleConfig bundle_config;
     bundle_config.checkpoint_dir = ckpt_dir_;
-    bundle_config.model = SmallServeModelConfig();
+    bundle_config.model = SmallServingModelConfig();
     bundle_ = std::make_unique<ModelBundle>(fixture_->world.dataset,
                                             fixture_->split, bundle_config);
     ASSERT_TRUE(bundle_->LoadInitial().ok());
@@ -48,14 +48,11 @@ class ZeroAllocTest : public ::testing::Test {
     cache_ = std::make_unique<ResultCache>(ResultCacheConfig{});
 
     ServerConfig server_config;
-    server_config.mode = ServeMode::kEventLoop;
     server_config.num_workers = 1;  // one worker -> one scratch to warm
     server_config.default_city = fixture_->split.target_city;
-    // No batcher: scoring runs inline on the worker. Irrelevant for the
-    // asserted property, which covers the cache-hit path only.
     server_ = std::make_unique<RecommendServer>(
         server_config, fixture_->world.dataset, bundle_.get(), index_.get(),
-        /*batcher=*/nullptr, cache_.get(), &stats_);
+        cache_.get(), &stats_);
     ASSERT_TRUE(server_->Start().ok());
   }
 

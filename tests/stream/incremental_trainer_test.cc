@@ -23,12 +23,12 @@ namespace {
 using serve::MakeServeFixture;
 using serve::ServeFixture;
 using serve::ServeTestDir;
-using serve::SmallServeModelConfig;
+using serve::SmallServingModelConfig;
 using serve::TrainSmallModel;
 
 /// A Prepare()d (untrained) model over the fixture, ready for trainer Init.
 std::unique_ptr<StTransRec> MakeStreamModel(const ServeFixture& f) {
-  auto model = std::make_unique<StTransRec>(SmallServeModelConfig());
+  auto model = std::make_unique<StTransRec>(SmallServingModelConfig());
   STTR_CHECK_OK(model->Prepare(f.world.dataset, f.split));
   return model;
 }
@@ -310,7 +310,7 @@ TEST_F(IncrementalTrainerTest, PublishRotatesAndBumpsSeq) {
 
 TEST_F(IncrementalTrainerTest, InitRejectsMismatchedBase) {
   // A base trained under a different config fingerprint must be refused.
-  StTransRecConfig other = SmallServeModelConfig();
+  StTransRecConfig other = SmallServingModelConfig();
   other.embedding_dim = 16;
   other.checkpoint_dir = dir_ + "/other_ckpt";
   StTransRec other_model(other);

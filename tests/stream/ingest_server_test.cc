@@ -1,7 +1,8 @@
 // HTTP-level tests of the streaming ingest endpoint and cold-start serving:
-// /checkin semantics (validation, backpressure, lifecycle) pinned
-// byte-identical across both serving modes, ingest counters on /statz, and
-// the cold-start marker + word-bridge path on /recommend.
+// /checkin backpressure and lifecycle, ingest counters on /statz, and the
+// cold-start marker + word-bridge path on /recommend. The /checkin
+// validation matrix and the cold-start response bytes are pinned by
+// tests/serve/golden/ (golden_test.cc).
 
 #include <memory>
 #include <string>
@@ -13,7 +14,6 @@
 #include "../serve/test_http_client.h"
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
-#include "serve/batcher.h"
 #include "serve/candidate_index.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
@@ -33,13 +33,11 @@ using serve::ModelBundleConfig;
 using serve::RecommendServer;
 using serve::ResultCache;
 using serve::ResultCacheConfig;
-using serve::ScoreBatcher;
 using serve::ServeFixture;
-using serve::ServeMode;
 using serve::ServerConfig;
 using serve::ServeStats;
 using serve::ServeTestDir;
-using serve::SmallServeModelConfig;
+using serve::SmallServingModelConfig;
 using serve::TestHttpClient;
 using serve::TrainSmallModel;
 
@@ -48,12 +46,11 @@ std::string Request(const std::string& method, const std::string& target) {
 }
 
 /// One serving stack with its own streaming pipeline (stream model, trainer,
-/// ingest service) so the two modes never share mutable state.
+/// ingest service).
 struct Side {
   ServeStats stats;
   std::unique_ptr<ModelBundle> bundle;
   std::unique_ptr<ResultCache> cache;
-  std::unique_ptr<ScoreBatcher> batcher;
   std::unique_ptr<StTransRec> stream_model;
   std::unique_ptr<IncrementalTrainer> trainer;
   std::unique_ptr<IngestService> ingest;
@@ -62,7 +59,6 @@ struct Side {
   ~Side() {
     if (server != nullptr) server->Shutdown();
     if (ingest != nullptr) ingest->Stop();
-    if (batcher != nullptr) batcher->Stop();
   }
 };
 
@@ -96,23 +92,20 @@ class IngestServerTest : public ::testing::Test {
                                           ColdStartConfig{});
   }
 
-  std::unique_ptr<Side> MakeSide(ServeMode mode, const SideOptions& opt,
+  std::unique_ptr<Side> MakeSide(const SideOptions& opt,
                                  const std::string& leaf) {
     auto side = std::make_unique<Side>();
     ModelBundleConfig bundle_config;
     bundle_config.checkpoint_dir = *ckpt_dir_;
-    bundle_config.model = SmallServeModelConfig();
+    bundle_config.model = SmallServingModelConfig();
     side->bundle = std::make_unique<ModelBundle>(
         fixture_->world.dataset, fixture_->split, bundle_config);
     STTR_CHECK_OK(side->bundle->LoadInitial());
     side->cache = std::make_unique<ResultCache>(ResultCacheConfig{});
-    side->batcher =
-        std::make_unique<ScoreBatcher>(serve::BatcherConfig{}, &side->stats);
-    side->batcher->Start();
 
     if (opt.with_ingest) {
       side->stream_model =
-          std::make_unique<StTransRec>(SmallServeModelConfig());
+          std::make_unique<StTransRec>(SmallServingModelConfig());
       STTR_CHECK_OK(
           side->stream_model->Prepare(fixture_->world.dataset,
                                       fixture_->split));
@@ -132,12 +125,11 @@ class IngestServerTest : public ::testing::Test {
     }
 
     ServerConfig config;
-    config.mode = mode;
     config.num_workers = 2;
     config.default_city = fixture_->split.target_city;
     side->server = std::make_unique<RecommendServer>(
         config, fixture_->world.dataset, side->bundle.get(), index_.get(),
-        side->batcher.get(), side->cache.get(), &side->stats,
+        side->cache.get(), &side->stats,
         /*store=*/nullptr, side->ingest.get(),
         opt.with_cold_start ? cold_scorer_.get() : nullptr);
     STTR_CHECK_OK(side->server->Start());
@@ -152,15 +144,6 @@ class IngestServerTest : public ::testing::Test {
     if (with_city) target += "&city=" + std::to_string(r.city);
     if (with_time) target += "&t=" + StrFormat("%.4f", r.time);
     return target;
-  }
-
-  /// A well-formed check-in whose stated city contradicts the POI's.
-  std::string MismatchedCityTarget() const {
-    const CheckinRecord& r = fixture_->world.dataset.checkins()[0];
-    const CityId wrong = r.city == 0 ? 1 : 0;
-    return "/checkin?user=" + std::to_string(r.user) +
-           "&poi=" + std::to_string(r.poi) +
-           "&city=" + std::to_string(wrong);
   }
 
   std::string RecommendTarget(UserId user, const std::string& extra = "") {
@@ -206,58 +189,10 @@ class IngestServerTest : public ::testing::Test {
 ServeFixture* IngestServerTest::fixture_ = nullptr;
 std::string* IngestServerTest::ckpt_dir_ = nullptr;
 
-TEST_F(IngestServerTest, CheckinByteIdenticalAcrossModes) {
-  auto epoll = MakeSide(ServeMode::kEventLoop, {}, "eq_epoll");
-  auto blocking = MakeSide(ServeMode::kBlocking, {}, "eq_blocking");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
-
-  const std::vector<std::string> requests = {
-      Request("POST", CheckinTarget(0)),
-      Request("GET", CheckinTarget(1)),
-      // Optional params omitted: city derived from the POI, unknown time.
-      Request("POST", CheckinTarget(2, false, false)),
-      // Parse-level errors, one per parameter.
-      Request("POST", "/checkin?poi=1"),
-      Request("POST", "/checkin?user=abc&poi=1"),
-      Request("POST", "/checkin?user=1"),
-      Request("POST", "/checkin?user=1&poi=zz"),
-      Request("POST", "/checkin?user=1&poi=1&city=xx"),
-      Request("POST", "/checkin?user=1&poi=1&t=-2"),
-      Request("POST", "/checkin?user=1&poi=1&t=nope"),
-      // Semantic errors (Submit's job): out-of-range ids, mismatched city,
-      // and a city that would overflow CityId's range.
-      Request("POST", "/checkin?user=999999&poi=1"),
-      Request("POST", "/checkin?user=1&poi=999999"),
-      Request("POST", MismatchedCityTarget()),
-      Request("POST", "/checkin?user=1&poi=1&city=4294967296"),
-  };
-  for (const std::string& raw : requests) {
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << "request: " << raw;
-  }
-}
-
-TEST_F(IngestServerTest, CheckinWithoutIngestIs404BothModes) {
-  SideOptions opt;
-  opt.with_ingest = false;
-  auto epoll = MakeSide(ServeMode::kEventLoop, opt, "no_ingest_e");
-  auto blocking = MakeSide(ServeMode::kBlocking, opt, "no_ingest_b");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
-  const std::string raw = Request("POST", CheckinTarget(0));
-  const auto ra = a.Roundtrip(raw);
-  const auto rb = b.Roundtrip(raw);
-  EXPECT_EQ(ra.status, 404);
-  EXPECT_NE(ra.body.find("ingest not enabled"), std::string::npos);
-  EXPECT_EQ(ra.raw, rb.raw);
-}
-
 TEST_F(IngestServerTest, CheckinBackpressureAndStopAre503) {
   SideOptions opt;
   opt.queue_capacity = 2;  // loop not started: nothing drains
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "bp");
+  auto side = MakeSide(opt, "bp");
   TestHttpClient client(side->server->port());
   EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(0))).status, 200);
   EXPECT_EQ(client.Roundtrip(Request("POST", CheckinTarget(1))).status, 200);
@@ -274,7 +209,7 @@ TEST_F(IngestServerTest, CheckinBackpressureAndStopAre503) {
 TEST_F(IngestServerTest, AcceptedCheckinsReachTrainerAndStatz) {
   SideOptions opt;
   opt.start_ingest_loop = true;
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "train");
+  auto side = MakeSide(opt, "train");
   TestHttpClient client(side->server->port());
   for (size_t i = 0; i < 10; ++i) {
     const auto r = client.Roundtrip(Request("POST", CheckinTarget(i)));
@@ -297,7 +232,7 @@ TEST_F(IngestServerTest, AcceptedCheckinsReachTrainerAndStatz) {
 }
 
 TEST_F(IngestServerTest, ColdStartRecommendUsesWordBridge) {
-  auto side = MakeSide(ServeMode::kEventLoop, {}, "cold");
+  auto side = MakeSide({}, "cold");
   TestHttpClient client(side->server->port());
   const UserId cold = FindColdUser();
   const UserId warm = FindWarmUser();
@@ -328,30 +263,12 @@ TEST_F(IngestServerTest, ColdStartRecommendUsesWordBridge) {
 TEST_F(IngestServerTest, ColdStartMarkerAbsentWithoutScorer) {
   SideOptions opt;
   opt.with_cold_start = false;
-  auto side = MakeSide(ServeMode::kEventLoop, opt, "nocold");
+  auto side = MakeSide(opt, "nocold");
   TestHttpClient client(side->server->port());
   const auto resp =
       client.Roundtrip(Request("GET", RecommendTarget(FindColdUser())));
   ASSERT_EQ(resp.status, 200);
   EXPECT_EQ(resp.body.find("cold_start"), std::string::npos);
-}
-
-TEST_F(IngestServerTest, ColdStartByteIdenticalAcrossModes) {
-  auto epoll = MakeSide(ServeMode::kEventLoop, {}, "cold_e");
-  auto blocking = MakeSide(ServeMode::kBlocking, {}, "cold_b");
-  TestHttpClient a(epoll->server->port());
-  TestHttpClient b(blocking->server->port());
-  const UserId cold = FindColdUser();
-  ASSERT_GE(cold, 0);
-  for (const std::string& target :
-       {RecommendTarget(cold), RecommendTarget(cold, "&hour=8"),
-        RecommendTarget(cold, "&hour=-1"),
-        RecommendTarget(FindWarmUser(), "&hour=20")}) {
-    const std::string raw = Request("GET", target);
-    const auto ra = a.Roundtrip(raw);
-    const auto rb = b.Roundtrip(raw);
-    EXPECT_EQ(ra.raw, rb.raw) << "request: " << raw;
-  }
 }
 
 }  // namespace

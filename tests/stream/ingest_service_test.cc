@@ -21,7 +21,7 @@ namespace {
 using serve::MakeServeFixture;
 using serve::ServeFixture;
 using serve::ServeTestDir;
-using serve::SmallServeModelConfig;
+using serve::SmallServingModelConfig;
 using serve::TrainSmallModel;
 
 class IngestServiceTest : public ::testing::Test {
@@ -34,7 +34,7 @@ class IngestServiceTest : public ::testing::Test {
         FindLatestValidCheckpoint(*Env::Default(), dir_ + "/ckpt");
     STTR_CHECK_OK(base.status());
 
-    model_ = std::make_unique<StTransRec>(SmallServeModelConfig());
+    model_ = std::make_unique<StTransRec>(SmallServingModelConfig());
     STTR_CHECK_OK(model_->Prepare(fixture_.world.dataset, fixture_.split));
     IncrementalTrainerConfig tcfg;
     tcfg.delta_dir = dir_ + "/delta";

@@ -27,7 +27,7 @@ using serve::ModelBundle;
 using serve::ModelBundleConfig;
 using serve::ServeFixture;
 using serve::ServeTestDir;
-using serve::SmallServeModelConfig;
+using serve::SmallServingModelConfig;
 using serve::TrainSmallModel;
 
 class StreamChaosTest : public ::testing::Test {
@@ -43,7 +43,7 @@ class StreamChaosTest : public ::testing::Test {
   }
 
   std::unique_ptr<StTransRec> MakeStreamModel() {
-    auto model = std::make_unique<StTransRec>(SmallServeModelConfig());
+    auto model = std::make_unique<StTransRec>(SmallServingModelConfig());
     STTR_CHECK_OK(model->Prepare(fixture_.world.dataset, fixture_.split));
     return model;
   }
@@ -143,7 +143,7 @@ TEST_F(StreamChaosTest, FaultAtEveryStepNeverExposesATornDelta) {
       // And the serving bundle applies it end to end.
       ModelBundleConfig bcfg;
       bcfg.checkpoint_dir = dir_ + "/ckpt";
-      bcfg.model = SmallServeModelConfig();
+      bcfg.model = SmallServingModelConfig();
       bcfg.delta_dir = delta_dir;
       ModelBundle bundle(fixture_.world.dataset, fixture_.split, bcfg);
       STTR_CHECK_OK(bundle.LoadInitial());

@@ -35,7 +35,7 @@ using serve::ResultCache;
 using serve::ResultCacheConfig;
 using serve::ServeFixture;
 using serve::ServeTestDir;
-using serve::SmallServeModelConfig;
+using serve::SmallServingModelConfig;
 using serve::TrainSmallModel;
 
 class StreamE2ETest : public ::testing::Test {
@@ -49,7 +49,7 @@ class StreamE2ETest : public ::testing::Test {
   std::unique_ptr<ModelBundle> MakeBundle(const std::string& delta_dir) {
     ModelBundleConfig cfg;
     cfg.checkpoint_dir = dir_ + "/ckpt";
-    cfg.model = SmallServeModelConfig();
+    cfg.model = SmallServingModelConfig();
     cfg.delta_dir = delta_dir;
     auto bundle = std::make_unique<ModelBundle>(fixture_.world.dataset,
                                                 fixture_.split, cfg);
@@ -58,7 +58,7 @@ class StreamE2ETest : public ::testing::Test {
   }
 
   std::unique_ptr<StTransRec> MakeStreamModel() {
-    auto model = std::make_unique<StTransRec>(SmallServeModelConfig());
+    auto model = std::make_unique<StTransRec>(SmallServingModelConfig());
     STTR_CHECK_OK(model->Prepare(fixture_.world.dataset, fixture_.split));
     return model;
   }

@@ -18,7 +18,7 @@ ckpt_dir="$(mktemp -d)"
 trap 'rm -rf "${ckpt_dir}"' EXIT
 
 "${build_dir}/bench/serve_loadgen" \
-  --scale=tiny --smoke --mode=epoll \
+  --scale=tiny --smoke \
   --clients=4 --connections=128 --open_qps=200 \
   --ckpt_dir="${ckpt_dir}"
 echo "Smoke load clean."

@@ -2,9 +2,9 @@
 # Race-checks the multi-threaded training/eval/serving paths under
 # ThreadSanitizer: configures a separate build tree with -DSTTR_SANITIZE=thread
 # and runs the concurrency-heavy tier-1 tests (thread pool, parallel trainer,
-# sparse all-reduce, and the serving subsystem: score batcher, result cache,
-# checkpoint hot-reload under concurrent scoring, HTTP server, epoll event
-# loop, the blocking/epoll equivalence suite, and the sharded embedding
+# sparse all-reduce, and the serving subsystem: result cache, checkpoint
+# hot-reload under concurrent scoring, HTTP server, epoll event loop, the
+# golden HTTP-contract replay, and the sharded embedding
 # store: router fan-out with retries and circuit breakers, shard servers
 # being killed and restarted under concurrent load, reloads racing
 # injected checkpoint-read faults, and the streaming ingestion subsystem:
@@ -34,9 +34,9 @@ cmake -B "${build_dir}" -S "${repo_root}" -DSTTR_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${build_dir}" -j \
   --target thread_pool_test parallel_trainer_test sparse_allreduce_test \
-           checkpoint_race_test batcher_test result_cache_test \
+           checkpoint_race_test result_cache_test \
            model_bundle_test server_test shutdown_race_test \
-           event_loop_test server_equivalence_test precision_reload_test \
+           event_loop_test golden_test precision_reload_test \
            sharded_store_test store_server_test reload_fault_test \
            event_log_test ingest_service_test ingest_server_test \
            stream_e2e_test
@@ -44,5 +44,5 @@ cmake --build "${build_dir}" -j \
 # TSan findings abort the run; halt_on_error keeps the first report readable.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|Batcher|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|Equivalence|PrecisionReload|ShardedStore|ShardChaos|StoreServer|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
+  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ShardedStore|ShardChaos|StoreServer|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
 echo "TSan run clean."

@@ -1,8 +1,8 @@
 // Online recommendation server: serves a checkpoint directory over a
 // synthetic world through the src/serve stack — checkpoint hot-reload
-// (ModelBundle), grid/region candidate generation (CandidateIndex),
-// dynamic micro-batching (ScoreBatcher), a sharded LRU result cache and
-// the HTTP endpoints /recommend, /healthz and /statz.
+// (ModelBundle), grid/region candidate generation (CandidateIndex), a
+// sharded LRU result cache and the HTTP endpoints /recommend, /healthz and
+// /statz (plus /checkin with --stream).
 //
 // The world + model config must match what produced the checkpoints
 // (checkpoints carry a config fingerprint and anything else is refused).
@@ -24,7 +24,6 @@
 
 #include "bench/bench_util.h"
 #include "core/checkpoint.h"
-#include "serve/batcher.h"
 #include "serve/candidate_index.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
@@ -57,9 +56,8 @@ void DefineFlags(FlagParser& flags) {
                "train + checkpoint first when ckpt_dir has no valid "
                "checkpoint");
   flags.Define("port", "TCP port to listen on (0 = ephemeral)", "0");
-  flags.Define("mode", "serving core: epoll | blocking", "epoll");
   flags.Define("workers", "scoring worker threads", "8");
-  flags.Define("io_threads", "epoll event-loop threads (--mode=epoll)", "1");
+  flags.Define("io_threads", "epoll event-loop threads", "1");
   flags.Define("grid_rows", "candidate index grid rows", "16");
   flags.Define("grid_cols", "candidate index grid cols", "16");
   flags.Define("min_candidates", "candidate list size target per query",
@@ -67,12 +65,6 @@ void DefineFlags(FlagParser& flags) {
   flags.Define("no_regions",
                "disable region merging in the candidate index (pure grid "
                "rings)");
-  flags.Define("batch_pairs", "micro-batch flush threshold in (user, poi) "
-               "pairs (0 = no batcher, score inline per request)", "512");
-  flags.Define("batch_min_pairs", "pairs to wait for before flushing "
-               "(1 = continuous batching)", "1");
-  flags.Define("batch_wait_us", "micro-batch max wait for the oldest "
-               "request when below batch_min_pairs", "300");
   flags.Define("cache_capacity", "result cache entries (0 = cache off)",
                "4096");
   flags.Define("cache_ttl_ms", "result cache TTL (0 = no expiry)", "5000");
@@ -260,21 +252,6 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("min_candidates", 200));
   serve::CandidateIndex index(ws.world.dataset, &ws.split, index_cfg);
 
-  // --batch_pairs=0 turns micro-batching off: handlers score inline.
-  std::unique_ptr<serve::ScoreBatcher> batcher;
-  const size_t max_batch_pairs =
-      static_cast<size_t>(flags.GetInt("batch_pairs", 512));
-  if (max_batch_pairs > 0) {
-    serve::BatcherConfig batcher_cfg;
-    batcher_cfg.max_batch_pairs = max_batch_pairs;
-    batcher_cfg.min_batch_pairs =
-        static_cast<size_t>(flags.GetInt("batch_min_pairs", 1));
-    batcher_cfg.max_wait =
-        std::chrono::microseconds(flags.GetInt("batch_wait_us", 300));
-    batcher = std::make_unique<serve::ScoreBatcher>(batcher_cfg, &stats);
-    batcher->Start();
-  }
-
   const size_t cache_capacity =
       static_cast<size_t>(flags.GetInt("cache_capacity", 4096));
   std::unique_ptr<serve::ResultCache> cache;
@@ -353,14 +330,6 @@ int Main(int argc, char** argv) {
 
   serve::ServerConfig server_cfg;
   server_cfg.port = static_cast<int>(flags.GetInt("port", 0));
-  const std::string mode = flags.GetString("mode", "epoll");
-  if (mode == "blocking") {
-    server_cfg.mode = serve::ServeMode::kBlocking;
-  } else if (mode != "epoll") {
-    std::fprintf(stderr, "unknown --mode=%s (epoll | blocking)\n",
-                 mode.c_str());
-    return 2;
-  }
   server_cfg.num_workers = static_cast<size_t>(flags.GetInt("workers", 8));
   server_cfg.num_io_threads =
       static_cast<size_t>(flags.GetInt("io_threads", 1));
@@ -369,9 +338,8 @@ int Main(int argc, char** argv) {
   server_cfg.store_deadline =
       std::chrono::milliseconds(flags.GetInt("store_deadline_ms", 50));
   serve::RecommendServer server(server_cfg, ws.world.dataset, &bundle,
-                                &index, batcher.get(), cache.get(), &stats,
-                                store.get(), ingest.get(),
-                                cold_scorer.get());
+                                &index, cache.get(), &stats, store.get(),
+                                ingest.get(), cold_scorer.get());
   STTR_CHECK_OK(server.Start());
   bundle.StartWatcher();
 
@@ -390,7 +358,6 @@ int Main(int argc, char** argv) {
   // publishes a final delta, so nothing ingested is lost.
   if (ingest != nullptr) ingest->Stop();
   for (const auto& shard : shard_servers) shard->Shutdown();
-  if (batcher != nullptr) batcher->Stop();
   return 0;
 }
 

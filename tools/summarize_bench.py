@@ -59,13 +59,13 @@ def summarize_micro(path: str, data: dict) -> None:
 
 
 def summarize_serve(path: str, data: dict) -> None:
-    """Prints the serve_loadgen rows: throughput/latency per serving mode,
-    plus the epoll core's allocation and syscall rates and the open-loop
-    dropped/late accounting."""
+    """Prints the serve_loadgen rows: throughput/latency per scenario, plus
+    the allocation and syscall rates and the open-loop dropped/late
+    accounting."""
     print(f"\n### {data.get('bench', path)} (threads={data.get('threads', '?')})")
     for row in data.get("results", []):
         line = (
-            f"  {row['kernel']:<18} [{row.get('mode', '?'):<8}]"
+            f"  {row['kernel']:<18}"
             f" conns={row.get('connections', row.get('clients', '?')):<5}"
             f" {row['qps']:>9.1f} qps"
             f"  p50 {row['p50_ms']:7.3f}ms  p99 {row['p99_ms']:7.3f}ms"
@@ -77,8 +77,6 @@ def summarize_serve(path: str, data: dict) -> None:
             line += f"  hot={row['hot_allocs_per_hit']:.2f} alloc/hit"
         if "dropped" in row:
             line += f"  dropped={row['dropped']} late={row['late']}"
-        if "speedup_vs_nobatch" in row:
-            line += f"  {row['speedup_vs_nobatch']:5.2f}x vs nobatch"
         print(line)
 
 
