@@ -1,12 +1,19 @@
-// Quantized-inference microbenchmark: the fp32 ScorePairs hot path vs the
-// int8 QuantizedModel on identical (user, poi) batches, the embedding-table
-// byte shrink, and the ranking fidelity of the quantized scorer (HR/NDCG
-// delta + top-k overlap via eval/fidelity.h). With --out=<prefix>, emits
-// <prefix>micro_quant.json for tools/summarize_bench.py — the source of the
-// quantization row in EXPERIMENTS.md.
+// Quantized-artifact microbenchmark: the embedding-table byte shrink of the
+// int8 serving artifact, and the ranking fidelity of the model a server
+// loads from it — the artifact written to a v2 file, read back and
+// dequantized into an StTransRec — against the fp32 model it came from
+// (HR/NDCG deltas at every cutoff 2..10 + top-k overlap via
+// eval/fidelity.h, and the sampled-negatives protocol for both). Both
+// models score through the same StTransRec path, so the timing rows time
+// that one ScorePairs. With --out=<prefix>, emits <prefix>micro_quant.json
+// for tools/summarize_bench.py — the source of the quantization rows in
+// EXPERIMENTS.md.
+
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -17,6 +24,7 @@
 #include "core/st_transrec.h"
 #include "eval/fidelity.h"
 #include "util/check.h"
+#include "util/fs.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -49,6 +57,20 @@ int Main(int argc, char** argv) {
   auto quant = QuantizedModel::Quantize(model);
   STTR_CHECK_OK(quant.status());
 
+  // What an int8 server scores with: the artifact's own file, loaded back.
+  Env& env = *Env::Default();
+  const std::string artifact_path =
+      (std::filesystem::temp_directory_path() /
+       ("micro_quant_" + std::to_string(::getpid()) + ".sttr"))
+          .string();
+  STTR_CHECK_OK(quant->WriteCheckpointFile(env, artifact_path));
+  auto artifact = QuantizedModel::LoadFromCheckpoint(env, artifact_path);
+  STTR_CHECK_OK(artifact.status());
+  STTR_CHECK_OK(env.Remove(artifact_path));
+  StTransRec served(cfg);
+  STTR_CHECK_OK(served.Prepare(ws.world.dataset, ws.split));
+  STTR_CHECK_OK(artifact->DequantizeInto(served));
+
   const size_t num_users = ws.world.dataset.num_users();
   const size_t num_pois = ws.world.dataset.num_pois();
   const size_t fp32_bytes =
@@ -66,8 +88,8 @@ int Main(int argc, char** argv) {
   std::printf("embeddings: %zu bytes int8 vs %zu fp32 (%.2fx smaller)\n",
               int8_bytes, fp32_bytes, shrink);
 
-  // ---- ScorePairs throughput, fp32 vs int8, identical batches. -----------
-  std::cout << "\nkernel                pairs    seconds    Mpairs/s  speedup\n";
+  // ---- ScorePairs throughput (the one path both models score through). --
+  std::cout << "\nkernel                pairs    seconds    Mpairs/s\n";
   Rng rng(opts.seed == 0 ? 42 : opts.seed);
   volatile double sink = 0;
   for (const size_t n :
@@ -78,33 +100,23 @@ int Main(int argc, char** argv) {
       users[i] = static_cast<UserId>(rng.UniformInt(num_users));
       pois[i] = static_cast<PoiId>(rng.UniformInt(num_pois));
     }
-    const double t_fp32 =
+    const double seconds =
         BestOf(reps, [&] { sink = model.ScorePairs(users, pois)[0]; });
-    const double t_int8 =
-        BestOf(reps, [&] { sink = quant->ScorePairs(users, pois)[0]; });
-    struct Row {
-      const char* name;
-      double seconds;
-    };
-    for (const Row& r : {Row{"score_pairs_fp32", t_fp32},
-                         Row{"score_pairs_int8", t_int8}}) {
-      std::printf("%-18s %8zu %10.6f %11.3f %8.2fx\n", r.name, n, r.seconds,
-                  static_cast<double>(n) / r.seconds / 1e6,
-                  t_fp32 / r.seconds);
-      if (!first) json << ",\n";
-      json << "    {\"kernel\": \"" << r.name << "\", \"pairs\": " << n
-           << ", \"seconds\": " << r.seconds
-           << ", \"speedup_vs_fp32\": " << t_fp32 / r.seconds << "}";
-      first = false;
-    }
+    std::printf("%-18s %8zu %10.6f %11.3f\n", "score_pairs_fp32", n, seconds,
+                static_cast<double>(n) / seconds / 1e6);
+    if (!first) json << ",\n";
+    json << "    {\"kernel\": \"score_pairs_fp32\", \"pairs\": " << n
+         << ", \"seconds\": " << seconds << "}";
+    first = false;
   }
   json << "\n  ],\n";
 
-  // ---- Fidelity: full-city ranking under both scorers. -------------------
+  // ---- Fidelity: full-city ranking under fp32 and the served model. -----
   FidelityConfig fid_cfg;
+  fid_cfg.ks = {2, 3, 4, 5, 6, 7, 8, 9, 10};
   fid_cfg.protocol = opts.Eval();
   const FidelityReport report =
-      CompareScorers(ws.world.dataset, ws.split, model, *quant, fid_cfg);
+      CompareScorers(ws.world.dataset, ws.split, model, served, fid_cfg);
   std::cout << "\n" << report.ToString();
 
   json << "  \"bytes\": {\"fp32_embeddings\": " << fp32_bytes
@@ -123,7 +135,19 @@ int Main(int argc, char** argv) {
   }
   json << ", \"max_abs_score_delta\": " << report.max_abs_score_delta
        << ", \"mean_abs_score_delta\": " << report.mean_abs_score_delta
-       << "}\n}\n";
+       << "},\n";
+  json << "  \"protocol\": {";
+  first_k = true;
+  for (const auto& [k, ref] : report.protocol_ref.at_k) {
+    const RankingMetrics& cand = report.protocol_cand.At(k);
+    if (!first_k) json << ", ";
+    json << "\"recall" << k << "_ref\": " << ref.recall << ", \"recall" << k
+         << "_cand\": " << cand.recall << ", \"ndcg" << k
+         << "_ref\": " << ref.ndcg << ", \"ndcg" << k
+         << "_cand\": " << cand.ndcg;
+    first_k = false;
+  }
+  json << "}\n}\n";
 
   if (!opts.out_prefix.empty()) {
     const std::string path = opts.out_prefix + "micro_quant.json";

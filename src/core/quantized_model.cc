@@ -1,12 +1,10 @@
 #include "core/quantized_model.h"
 
-#include <cstring>
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
 #include "tensor/simd.h"
-#include "tensor/tensor_ops.h"
-#include "util/check.h"
 
 namespace sttr {
 
@@ -73,8 +71,19 @@ StatusOr<Tensor> ReadTensorMaybeHalf(std::istream& in, bool as_half) {
   return t;
 }
 
+/// Per row j of `w0t`: the sum of its `n` quantized entries from column
+/// `begin` (the user and POI halves of output j's layer-0 column).
+std::vector<int32_t> ColumnSums(const RowQuantizedMatrix& w0t, size_t begin,
+                                size_t n) {
+  std::vector<int32_t> sums(w0t.rows);
+  for (size_t j = 0; j < w0t.rows; ++j) {
+    sums[j] = simd::SumI8Scalar(w0t.row(j) + begin, n);
+  }
+  return sums;
+}
+
 /// Round-trips a tensor through fp16 in place (quantize-time, so the
-/// in-memory scorer matches a checkpoint-reloaded one bit for bit).
+/// in-memory artifact matches a checkpoint-reloaded one bit for bit).
 void HalfRoundTrip(Tensor& t) {
   for (size_t i = 0; i < t.size(); ++i) t[i] = HalfToFloat(FloatToHalf(t[i]));
 }
@@ -106,7 +115,7 @@ StatusOr<QuantizedModel> QuantizedModel::Quantize(
   qm.poi_q_ = QuantizeRows(poi_t, config.embedding_scheme);
 
   // Layer 0: transpose (2d, h0) -> (h0, 2d) so each output column becomes a
-  // contiguous int8 row for DotI8, then quantize symmetric per row.
+  // contiguous int8 row, then quantize symmetric per row.
   const Tensor& w0 = params[3].value();
   const size_t two_d = w0.rows();
   const size_t h0 = w0.cols();
@@ -121,16 +130,8 @@ StatusOr<QuantizedModel> QuantizedModel::Quantize(
     for (size_t j = 0; j < h0; ++j) w0t.row(j)[r] = src[j];
   }
   qm.w0t_ = QuantizeRows(w0t, QuantScheme::kSymmetric);
-  qm.w0_colsum_top_.assign(h0, 0);
-  qm.w0_colsum_bot_.assign(h0, 0);
-  for (size_t j = 0; j < h0; ++j) {
-    const int8_t* qw = qm.w0t_.row(j);
-    qm.w0_colsum_top_[j] = simd::SumI8Scalar(qw, qm.dim_);
-    qm.w0_colsum_bot_[j] = simd::SumI8Scalar(qw + qm.dim_, qm.dim_);
-  }
   const Tensor& b0 = params[4].value();
   qm.b0_.assign(b0.data(), b0.data() + b0.size());
-  qm.layer0_relu_ = !hidden.empty();
 
   for (size_t p = 5; p + 1 < params.size(); p += 2) {
     qm.tail_weights_.push_back(params[p].value());
@@ -160,8 +161,7 @@ Status QuantizedModel::Validate() const {
                            std::to_string(w0t_.cols) + " != 2*dim");
   }
   const size_t h0 = w0t_.rows;
-  if (h0 == 0 || w0_colsum_top_.size() != h0 ||
-      w0_colsum_bot_.size() != h0 || b0_.size() != h0) {
+  if (h0 == 0 || b0_.size() != h0) {
     return Status::IOError("quantized model: layer-0 metadata size mismatch");
   }
   if (tail_weights_.size() != tail_biases_.size()) {
@@ -181,92 +181,67 @@ Status QuantizedModel::Validate() const {
     return Status::IOError("quantized model: final width " +
                            std::to_string(prev) + " != 1 logit");
   }
-  // No tail means layer 0 IS the output layer; with a tail it is a hidden
-  // layer. Either way layer0_relu_ must agree (it is derived at load time).
-  if (layer0_relu_ != !tail_weights_.empty()) {
-    return Status::IOError("quantized model: layer-0 relu flag inconsistent");
-  }
   return Status::OK();
 }
 
-double QuantizedModel::Score(UserId user, PoiId poi) const {
-  return ScoreCore({&user, 1}, {&poi, 1})[0];
-}
-
-std::vector<double> QuantizedModel::ScoreBatch(
-    UserId user, std::span<const PoiId> pois) const {
-  const std::vector<UserId> users(pois.size(), user);
-  return ScoreCore(users, pois);
-}
-
-std::vector<double> QuantizedModel::ScorePairs(
-    std::span<const UserId> users, std::span<const PoiId> pois) const {
-  STTR_CHECK_EQ(users.size(), pois.size());
-  return ScoreCore(users, pois);
-}
-
-std::vector<double> QuantizedModel::ScoreCore(
-    std::span<const UserId> users, std::span<const PoiId> pois) const {
-  const size_t n = pois.size();
-  if (n == 0) return {};
-  const size_t d = dim_;
+Status QuantizedModel::DequantizeInto(StTransRec& model) const {
+  if (!model.prepared()) {
+    return Status::FailedPrecondition("DequantizeInto() before Prepare()");
+  }
+  if (model.ConfigFingerprint() != fingerprint_) {
+    return Status::FailedPrecondition(
+        "quantized artifact was written under a different config or "
+        "dataset\n  artifact: " + fingerprint_ +
+        "\n  model:    " + model.ConfigFingerprint());
+  }
+  // user, poi, word tables, then (weight, bias) for layer 0 and the tail.
+  std::vector<ag::Variable> params = model.Parameters();
   const size_t h0 = w0t_.rows;
-  Tensor h({n, h0});
-  for (size_t i = 0; i < n; ++i) {
-    const UserId u = users[i];
-    const PoiId v = pois[i];
-    STTR_CHECK_GE(u, 0);
-    STTR_CHECK_LT(static_cast<size_t>(u), user_q_.rows);
-    STTR_CHECK_GE(v, 0);
-    STTR_CHECK_LT(static_cast<size_t>(v), poi_q_.rows);
-    // The int8 rows are read straight out of the tables: unlike the fp32
-    // path there is no gather-into-(n,2d) copy at all.
-    const int8_t* qu = user_q_.row(static_cast<size_t>(u));
-    const int8_t* qv = poi_q_.row(static_cast<size_t>(v));
-    const float su = user_q_.scale(static_cast<size_t>(u));
-    const float sv = poi_q_.scale(static_cast<size_t>(v));
-    const int32_t zu = user_q_.zero_point(static_cast<size_t>(u));
-    const int32_t zv = poi_q_.zero_point(static_cast<size_t>(v));
-    float* hrow = h.row(i);
-    for (size_t j = 0; j < h0; ++j) {
-      const int8_t* qw = w0t_.row(j);
-      const int32_t top = simd::DotI8(qu, qw, d);
-      const int32_t bot = simd::DotI8(qv, qw + d, d);
-      const float sw = w0t_.scale(j);
-      float out =
-          b0_[j] +
-          su * sw * static_cast<float>(top - zu * w0_colsum_top_[j]) +
-          sv * sw * static_cast<float>(bot - zv * w0_colsum_bot_[j]);
-      if (layer0_relu_ && out < 0.0f) out = 0.0f;
-      hrow[j] = out;
+  const auto same_shape = [](const Tensor& t, std::vector<size_t> shape) {
+    return t.shape() == shape;
+  };
+  bool fits = params.size() == 5 + 2 * tail_weights_.size() &&
+              same_shape(params[0].value(), {user_q_.rows, dim_}) &&
+              same_shape(params[1].value(), {poi_q_.rows, dim_}) &&
+              same_shape(params[3].value(), {2 * dim_, h0}) &&
+              same_shape(params[4].value(), {h0});
+  for (size_t l = 0; fits && l < tail_weights_.size(); ++l) {
+    fits = params[5 + 2 * l].value().shape() == tail_weights_[l].shape() &&
+           params[6 + 2 * l].value().shape() == tail_biases_[l].shape();
+  }
+  if (!fits) {
+    return Status::FailedPrecondition(
+        "quantized artifact does not fit the prepared model's shapes");
+  }
+
+  Tensor& users = params[0].mutable_value();
+  for (size_t r = 0; r < user_q_.rows; ++r) {
+    user_q_.DequantizeRowInto(r, users.row(r));
+  }
+  Tensor& pois = params[1].mutable_value();
+  for (size_t r = 0; r < poi_q_.rows; ++r) {
+    poi_q_.DequantizeRowInto(r, pois.row(r));
+  }
+  // Symmetric rows: scale_j * q[j][c], transposed back to (2d, h0).
+  Tensor& w0 = params[3].mutable_value();
+  for (size_t j = 0; j < h0; ++j) {
+    const int8_t* q = w0t_.row(j);
+    const float scale = w0t_.scale(j);
+    for (size_t c = 0; c < 2 * dim_; ++c) {
+      w0.row(c)[j] = scale * static_cast<float>(q[c]);
     }
   }
-  Tensor cur = std::move(h);
+  std::copy(b0_.begin(), b0_.end(), params[4].mutable_value().data());
   for (size_t l = 0; l < tail_weights_.size(); ++l) {
-    Tensor z = AddRowBroadcast(ParallelMatMul(cur, tail_weights_[l]),
-                               tail_biases_[l]);
-    // Hidden tail layers get ReLU; the final (output) layer stays a logit.
-    cur = (l + 1 == tail_weights_.size()) ? std::move(z) : Relu(z);
+    params[5 + 2 * l].mutable_value() = tail_weights_[l];
+    params[6 + 2 * l].mutable_value() = tail_biases_[l];
   }
-  std::vector<double> out(n);
-  // Scalar sigmoid, same reason as the fp32 scorer: keeps every batch
-  // position bit-identical to a 1-pair call.
-  for (size_t i = 0; i < n; ++i) out[i] = SigmoidScalar(cur[i]);
-  return out;
+  model.MarkFitted();
+  return Status::OK();
 }
 
 size_t QuantizedModel::EmbeddingBytes() const {
   return user_q_.ByteSize() + poi_q_.ByteSize();
-}
-
-size_t QuantizedModel::ApproxBytes() const {
-  size_t bytes = EmbeddingBytes() + w0t_.ByteSize();
-  bytes += w0_colsum_top_.size() * sizeof(int32_t);
-  bytes += w0_colsum_bot_.size() * sizeof(int32_t);
-  bytes += b0_.size() * sizeof(float);
-  for (const Tensor& w : tail_weights_) bytes += w.size() * sizeof(float);
-  for (const Tensor& b : tail_biases_) bytes += b.size() * sizeof(float);
-  return bytes;
 }
 
 Status QuantizedModel::WriteCheckpointFile(Env& env,
@@ -291,12 +266,12 @@ Status QuantizedModel::WriteCheckpointFile(Env& env,
   {
     std::ostringstream os(std::ios::binary);
     STTR_RETURN_IF_ERROR(w0t_.Serialize(os));
-    os.write(reinterpret_cast<const char*>(w0_colsum_top_.data()),
-             static_cast<std::streamsize>(w0_colsum_top_.size() *
-                                          sizeof(int32_t)));
-    os.write(reinterpret_cast<const char*>(w0_colsum_bot_.data()),
-             static_cast<std::streamsize>(w0_colsum_bot_.size() *
-                                          sizeof(int32_t)));
+    const std::vector<int32_t> top = ColumnSums(w0t_, 0, dim_);
+    const std::vector<int32_t> bot = ColumnSums(w0t_, dim_, dim_);
+    os.write(reinterpret_cast<const char*>(top.data()),
+             static_cast<std::streamsize>(top.size() * sizeof(int32_t)));
+    os.write(reinterpret_cast<const char*>(bot.data()),
+             static_cast<std::streamsize>(bot.size() * sizeof(int32_t)));
     os.write(reinterpret_cast<const char*>(b0_.data()),
              static_cast<std::streamsize>(b0_.size() * sizeof(float)));
     if (!os) return Status::IOError("quant_mlp0 section write failed");
@@ -368,16 +343,22 @@ StatusOr<QuantizedModel> QuantizedModel::FromReader(
     if (!m.ok()) return m.status();
     qm.w0t_ = *std::move(m);
     const size_t h0 = qm.w0t_.rows;
-    qm.w0_colsum_top_.resize(h0);
-    qm.w0_colsum_bot_.resize(h0);
+    std::vector<int32_t> top(h0), bot(h0);
     qm.b0_.resize(h0);
-    is.read(reinterpret_cast<char*>(qm.w0_colsum_top_.data()),
+    is.read(reinterpret_cast<char*>(top.data()),
             static_cast<std::streamsize>(h0 * sizeof(int32_t)));
-    is.read(reinterpret_cast<char*>(qm.w0_colsum_bot_.data()),
+    is.read(reinterpret_cast<char*>(bot.data()),
             static_cast<std::streamsize>(h0 * sizeof(int32_t)));
     is.read(reinterpret_cast<char*>(qm.b0_.data()),
             static_cast<std::streamsize>(h0 * sizeof(float)));
     if (!is) return Status::IOError("quantized checkpoint: bad quant_mlp0");
+    // The stored column sums must be those of the stored weight halves.
+    const size_t d = qm.w0t_.cols / 2;
+    if (qm.w0t_.cols % 2 != 0 || top != ColumnSums(qm.w0t_, 0, d) ||
+        bot != ColumnSums(qm.w0t_, d, d)) {
+      return Status::IOError(
+          "quantized checkpoint: layer-0 column sums do not match weights");
+    }
   }
   {
     StatusOr<std::string> payload = reader.Section(kSectionQuantTail);
@@ -399,7 +380,6 @@ StatusOr<QuantizedModel> QuantizedModel::FromReader(
     }
   }
   qm.dim_ = qm.user_q_.cols;
-  qm.layer0_relu_ = !qm.tail_weights_.empty();
   STTR_RETURN_IF_ERROR(qm.Validate());
   return qm;
 }

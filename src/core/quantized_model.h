@@ -2,13 +2,11 @@
 #define STTR_CORE_QUANTIZED_MODEL_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
-#include "eval/protocol.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "util/fs.h"
@@ -19,8 +17,7 @@ namespace sttr {
 /// Post-training quantization knobs.
 struct QuantizationConfig {
   /// Scheme of the user/POI embedding tables. The layer-0 MLP weight is
-  /// always symmetric: its per-output-column zero points would not cancel
-  /// in the dot product the way the activation zero point does.
+  /// always symmetric (the v2 format stores no zero points for it).
   QuantScheme embedding_scheme = QuantScheme::kAffine;
   /// Store the fp32 MLP tail as fp16 in the checkpoint (halves its bytes;
   /// relative error <= 2^-11 per weight). The tail is widened back to fp32
@@ -33,45 +30,40 @@ struct QuantizationConfig {
   int64_t epoch = -1;
 };
 
-/// An int8 serving-only snapshot of a fitted StTransRec.
+/// The int8 serving artifact of a fitted StTransRec: the in-memory form of
+/// a v2 checkpoint. Int8 is a storage format only; nothing scores this
+/// class. DequantizeInto() writes it back into a Prepare()d StTransRec,
+/// which scores through the same tower as a model loaded from a training
+/// checkpoint.
 ///
-/// What is quantized:
+/// What is stored:
 ///   - user and POI embedding tables: per-row int8 (tensor/quant.h), the
 ///     dominant share of model bytes,
 ///   - the layer-0 MLP weight: per-output-column symmetric int8, stored
-///     transposed so each output's column is a contiguous int8 row. Layer 0
-///     is where the embeddings enter the tower, so its products can run
-///     entirely in int8 (simd::DotI8) straight out of the quantized tables
-///     — no dequantize-then-gather step exists at all.
-/// The remaining tower (hidden layers 1.. and the output layer) stays fp32:
-/// it is tiny next to the tables and keeping it exact confines quantization
-/// error to one layer.
+///     transposed so each output's column is one contiguous int8 row, plus
+///     each row's sums over its user and POI halves (written and checked
+///     on read; they are the artifact's consistency check on layer 0),
+///   - layer 0's bias and the rest of the tower, fp32 or fp16.
+/// The word table is dropped: it feeds the textual training loss, never
+/// user x POI scoring.
 ///
-/// For an affine activation row u with scale s_u and zero point z_u, and
-/// symmetric weight column w_j with scale s_j:
-///   sum_c x_u[c] * w[c][j]
-///     ~ s_u * s_j * (DotI8(q_u, q_wj) - z_u * sum_c q_wj[c])
-/// The weight-column sums are precomputed once at quantization time
-/// (w0_colsum_*_), so the zero point costs one multiply per output.
-///
-/// Scoring is deterministic: the int8 dot products are exact integer
-/// arithmetic (bit-identical between the AVX2 kernel and the scalar
-/// fallback — see tensor/simd.h), and the fp32 tail reuses the same
-/// ParallelMatMul contract the fp32 scorer relies on. Thread-safe after
-/// construction (all state is immutable).
-class QuantizedModel : public PoiScorer {
+/// Dequantized, the tables and W0 take their fp32 size again: the artifact
+/// shrinks what is shipped and stored, not what a server holds resident.
+class QuantizedModel {
  public:
   /// Quantizes a fitted model. When config.fp16_tail is set the tail is
-  /// round-tripped through fp16 immediately, so the returned scorer is
-  /// bit-identical to one loaded back from its own checkpoint.
+  /// round-tripped through fp16 immediately, so the returned artifact
+  /// dequantizes bit-identically to one loaded back from its own file.
   static StatusOr<QuantizedModel> Quantize(const StTransRec& model,
                                            const QuantizationConfig& config = {});
 
-  double Score(UserId user, PoiId poi) const override;
-  std::vector<double> ScoreBatch(UserId user,
-                                 std::span<const PoiId> pois) const override;
-  std::vector<double> ScorePairs(std::span<const UserId> users,
-                                 std::span<const PoiId> pois) const override;
+  /// Overwrites the user/POI tables (RowQuantizedMatrix::DequantizeRowInto),
+  /// layer 0 (W0[c][j] = scale_j * q[j][c], b0) and the tail of `model`,
+  /// which must be Prepare()d under the config and dataset the artifact was
+  /// quantized from (same fingerprint), then marks the parameters final.
+  /// The word table keeps whatever `model` held. All-or-nothing: a shape
+  /// mismatch leaves `model` untouched.
+  Status DequantizeInto(StTransRec& model) const;
 
   size_t num_users() const { return user_q_.rows; }
   size_t num_pois() const { return poi_q_.rows; }
@@ -87,13 +79,9 @@ class QuantizedModel : public PoiScorer {
   /// and dataset a server is configured for.
   const std::string& config_fingerprint() const { return fingerprint_; }
 
-  /// Resident bytes of the two quantized embedding tables (the number to
-  /// compare against fp32's 4 * rows * dim).
+  /// Bytes of the two quantized embedding tables (the number to compare
+  /// against fp32's 4 * rows * dim).
   size_t EmbeddingBytes() const;
-
-  /// Approximate resident bytes of the whole scorer (tables + quantized
-  /// layer 0 + fp32 tail).
-  size_t ApproxBytes() const;
 
   /// Writes a v2 serving checkpoint (kQuantCheckpointFormatVersion):
   /// sections "meta" and "config" keep their v1 meaning; the model lives in
@@ -101,7 +89,7 @@ class QuantizedModel : public PoiScorer {
   /// optimizer/RNG state — this artifact serves, it does not resume.
   Status WriteCheckpointFile(Env& env, const std::string& path) const;
 
-  /// Rebuilds a scorer from an already-parsed v2 container.
+  /// Rebuilds the artifact from an already-parsed v2 container.
   static StatusOr<QuantizedModel> FromReader(const CheckpointReader& reader);
 
   /// Open + FromReader.
@@ -111,9 +99,6 @@ class QuantizedModel : public PoiScorer {
  private:
   QuantizedModel() = default;
 
-  std::vector<double> ScoreCore(std::span<const UserId> users,
-                                std::span<const PoiId> pois) const;
-
   /// Shape/consistency checks shared by Quantize() and FromReader().
   Status Validate() const;
 
@@ -121,14 +106,9 @@ class QuantizedModel : public PoiScorer {
   RowQuantizedMatrix poi_q_;
 
   // Layer 0 of the tower: weight (2d, h0) stored TRANSPOSED as h0 int8 rows
-  // of length 2d, symmetric per row (== per output column). colsum_top[j] /
-  // colsum_bot[j] are the sums of the first / last d quantized entries of
-  // output j's column — the zero-point correction terms.
+  // of length 2d, symmetric per row (== per output column).
   RowQuantizedMatrix w0t_;
-  std::vector<int32_t> w0_colsum_top_;
-  std::vector<int32_t> w0_colsum_bot_;
   std::vector<float> b0_;
-  bool layer0_relu_ = true;  // false when hidden_dims is empty (layer 0 IS the output logit)
 
   // fp32 tail, alternating (in,out) weight and (out) bias, ending with the
   // 1-logit output layer. Empty when hidden_dims is empty.

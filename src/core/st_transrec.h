@@ -194,11 +194,11 @@ class StTransRec : public Recommender {
                                  std::span<const PoiId> pois) const override;
 
   /// Scores pre-gathered (user, poi) embedding pairs: row i of the (n, 2d)
-  /// block `h` is [user_row | poi_row]. This is the tower half of the
-  /// serving path when embedding lookup lives behind an EmbeddingStore
-  /// (possibly on remote shard servers). Both layer-0 shares are computed
+  /// block `h` is [user_row | poi_row]. Both layer-0 shares are computed
   /// from `h` with the kernel that builds P, so for rows copied bit-exactly
-  /// out of the tables the results are bit-identical to ScorePairs.
+  /// out of the tables the results are bit-identical to ScorePairs. Serving
+  /// never calls it; its only caller outside the tests is perfbench's
+  /// traced replay of a cold request.
   std::vector<double> ScoreGatheredPairs(const Tensor& h) const;
 
   /// Row-major learned embedding tables (after Fit()/Load()): the in-process
@@ -269,6 +269,12 @@ class StTransRec : public Recommender {
   /// Prepare()d with the same config and dataset; marks the model fitted.
   Status Load(std::istream& in);
 
+  /// Marks the parameters final after they moved wholesale — by Fit(),
+  /// Load(), a dense delta, or a caller writing them through Parameters()
+  /// (QuantizedModel::DequantizeInto). The POI share of layer 0 is rebuilt
+  /// on the next score.
+  void MarkFitted();
+
   /// Patches embedding rows in place from a streaming delta checkpoint
   /// (core/delta.h). Requires Prepare() with the same config and dataset as
   /// the delta's producer (verified via the stored config fingerprint); row
@@ -301,10 +307,6 @@ class StTransRec : public Recommender {
 
  private:
   friend class ParallelTrainer;
-
-  /// Marks the parameters final (fitted_, params_final_) after they moved
-  /// wholesale; the POI share of layer 0 is rebuilt on the next score.
-  void MarkFitted();
 
   /// Drops the POI share of layer 0 (the parameters moved).
   void DropPoiLayer0();

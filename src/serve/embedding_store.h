@@ -28,9 +28,10 @@ enum class EmbeddingTable : uint8_t { kUser = 0, kPoi = 1 };
 ///     health tracking. Returns either exactly the oracle's bytes or a
 ///     non-OK Status — never silently different rows.
 ///
-/// Gather is the whole API on purpose: batched row lookup is the only
-/// operation serving needs, and the narrower the seam, the easier it is to
-/// prove the remote path equivalent.
+/// Gather is the whole API on purpose: the narrower the seam, the easier
+/// it is to prove the remote path equivalent. The recommend server does not
+/// use a store (it scores in-process against the snapshot's tables); the
+/// benchmarks and the tests drive it as a library.
 class EmbeddingStore {
  public:
   virtual ~EmbeddingStore() = default;
@@ -51,7 +52,7 @@ class EmbeddingStore {
                         std::chrono::steady_clock::time_point deadline) = 0;
 
   /// Backend shard count (0 for in-process) and how many of those shards
-  /// are currently tripped unhealthy — the /healthz degraded signal.
+  /// are currently tripped unhealthy.
   virtual size_t num_shards() const { return 0; }
   virtual size_t shards_down() const { return 0; }
 };

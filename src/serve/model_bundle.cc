@@ -8,6 +8,7 @@
 
 #include "core/checkpoint.h"
 #include "core/delta.h"
+#include "core/quantized_model.h"
 #include "serve/result_cache.h"
 #include "util/logging.h"
 
@@ -109,11 +110,8 @@ StatusOr<std::string> ModelBundle::SelectCheckpoint() const {
   return *quant_epoch >= *fp32_epoch ? quant : fp32;
 }
 
-StatusOr<std::shared_ptr<ModelSnapshot>> ModelBundle::LoadSnapshot(
-    const std::string& path) const {
-  // Prepare() against the serving dataset even for quantized artifacts: the
-  // prepared model carries the config fingerprint every flavor is verified
-  // against.
+StatusOr<std::shared_ptr<StTransRec>> ModelBundle::LoadModel(
+    const std::string& path, ModelSnapshot* provenance) const {
   auto model = std::make_shared<StTransRec>(
       ServingConfig(config_.model, config_.env));
   STTR_RETURN_IF_ERROR(model->Prepare(dataset_, split_));
@@ -142,42 +140,47 @@ StatusOr<std::shared_ptr<ModelSnapshot>> ModelBundle::LoadSnapshot(
         "bundle serves int8 only");
   }
 
-  auto snapshot = std::make_shared<ModelSnapshot>();
   if (quantized) {
+    // Int8 is a storage format: the artifact is dequantized into the
+    // prepared model, which then scores like any other. Its word table is
+    // not in the artifact and stays at Prepare()'s initialisation.
     StatusOr<QuantizedModel> quant = QuantizedModel::FromReader(*reader);
     if (!quant.ok()) return quant.status();
-    auto scorer = std::make_shared<QuantizedModel>(*std::move(quant));
-    snapshot->resident_bytes = scorer->ApproxBytes();
-    snapshot->scorer = std::move(scorer);
-    snapshot->precision = Precision::kInt8;
+    STTR_RETURN_IF_ERROR(quant->DequantizeInto(*model));
+    provenance->precision = Precision::kInt8;
   } else {
     StatusOr<std::string> params = reader->Section("model");
     if (!params.ok()) return params.status();
-    {
-      std::istringstream in(*params, std::ios::binary);
-      STTR_RETURN_IF_ERROR(model->Load(in));
-    }
-    size_t bytes = 0;
-    for (const auto& p : model->Parameters()) {
-      bytes += p.value().size() * sizeof(float);
-    }
-    snapshot->resident_bytes = bytes;
-    snapshot->model = model;
-    snapshot->scorer = std::move(model);
-    snapshot->precision = Precision::kFp32;
+    std::istringstream in(*params, std::ios::binary);
+    STTR_RETURN_IF_ERROR(model->Load(in));
+    provenance->precision = Precision::kFp32;
     // The delta path refuses to patch any base whose model bytes don't
     // carry this exact checksum.
     for (const CheckpointSection& s : reader->sections()) {
-      if (s.name == "model") snapshot->model_crc = s.crc;
+      if (s.name == "model") provenance->model_crc = s.crc;
     }
   }
-  snapshot->checkpoint_path = path;
+  provenance->checkpoint_path = path;
   StatusOr<std::string> meta = reader->Section("meta");
   if (meta.ok()) {
     std::string_view in(*meta);
     uint64_t epoch = 0;
-    if (ReadU64(in, &epoch)) snapshot->epoch = static_cast<size_t>(epoch);
+    if (ReadU64(in, &epoch)) provenance->epoch = static_cast<size_t>(epoch);
   }
+  return model;
+}
+
+StatusOr<std::shared_ptr<ModelSnapshot>> ModelBundle::LoadSnapshot(
+    const std::string& path) const {
+  auto snapshot = std::make_shared<ModelSnapshot>();
+  StatusOr<std::shared_ptr<StTransRec>> model = LoadModel(path, snapshot.get());
+  if (!model.ok()) return model.status();
+  // Both formats are resident as fp32 parameters.
+  for (const auto& p : (*model)->Parameters()) {
+    snapshot->resident_bytes += p.value().size() * sizeof(float);
+  }
+  snapshot->model = *model;
+  snapshot->scorer = *std::move(model);
   return snapshot;
 }
 
@@ -225,48 +228,14 @@ StatusOr<bool> ModelBundle::ReloadIfNewer() {
   return true;
 }
 
-StatusOr<std::shared_ptr<StTransRec>> ModelBundle::LoadFp32Base(
-    const std::string& path, uint32_t* model_crc) const {
-  auto model = std::make_shared<StTransRec>(
-      ServingConfig(config_.model, config_.env));
-  STTR_RETURN_IF_ERROR(model->Prepare(dataset_, split_));
-
-  StatusOr<CheckpointReader> reader = CheckpointReader::Open(env(), path);
-  if (!reader.ok()) return reader.status();
-  if (reader->version() != kCheckpointFormatVersion) {
-    return Status::FailedPrecondition(
-        "checkpoint " + path + " is not an fp32 training checkpoint; only "
-        "those can host streaming deltas");
-  }
-  StatusOr<std::string> fingerprint = reader->Section("config");
-  if (!fingerprint.ok()) return fingerprint.status();
-  if (*fingerprint != model->ConfigFingerprint()) {
-    return Status::FailedPrecondition(
-        "checkpoint " + path + " was written under a different config or "
-        "dataset than this bundle serves");
-  }
-  StatusOr<std::string> params = reader->Section("model");
-  if (!params.ok()) return params.status();
-  {
-    std::istringstream in(*params, std::ios::binary);
-    STTR_RETURN_IF_ERROR(model->Load(in));
-  }
-  if (model_crc != nullptr) {
-    for (const CheckpointSection& s : reader->sections()) {
-      if (s.name == "model") *model_crc = s.crc;
-    }
-  }
-  return model;
-}
-
 StatusOr<bool> ModelBundle::ApplyDeltaIfNewer() {
   if (config_.delta_dir.empty()) return false;
   std::shared_ptr<const ModelSnapshot> cur = snapshot();
   if (cur == nullptr) {
     return Status::FailedPrecondition("ApplyDeltaIfNewer() before LoadInitial()");
   }
-  // Deltas patch fp32 parameters in place; a quantized snapshot waits for
-  // the offline pipeline to republish a full artifact instead.
+  // A delta names the CRC of its v1 base's "model" section; a quantized
+  // snapshot has none and waits for the next full artifact instead.
   if (cur->precision != Precision::kFp32) return false;
 
   StatusOr<std::string> path = FindLatestValidDelta(env(), config_.delta_dir);
@@ -308,8 +277,9 @@ StatusOr<bool> ModelBundle::ApplyDeltaIfNewer() {
   std::shared_ptr<StTransRec> fresh[2];
   if (need_fresh_base) {
     for (size_t i = 0; i < 2; ++i) {
+      ModelSnapshot provenance;
       StatusOr<std::shared_ptr<StTransRec>> inst =
-          LoadFp32Base(cur->checkpoint_path, nullptr);
+          LoadModel(cur->checkpoint_path, &provenance);
       if (!inst.ok()) return inst.status();
       fresh[i] = *std::move(inst);
     }

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/quantized_model.h"
 #include "core/st_transrec.h"
 #include "data/dataset.h"
 #include "data/split.h"
@@ -28,10 +27,11 @@ namespace sttr::serve {
 
 class ResultCache;
 
-/// Numeric precision a snapshot serves at.
+/// Format of the artifact a snapshot was loaded from. Either way the
+/// snapshot scores with an fp32 StTransRec.
 enum class Precision : uint8_t {
-  kFp32 = 1,  ///< full StTransRec loaded from a v1 training checkpoint
-  kInt8 = 2,  ///< QuantizedModel loaded from a v2 serving artifact
+  kFp32 = 1,  ///< v1 training checkpoint
+  kInt8 = 2,  ///< v2 quantized serving artifact, dequantized at load
 };
 
 const char* PrecisionName(Precision p);
@@ -42,8 +42,8 @@ enum class PrecisionMode {
   kInt8,  ///< v2 quantized artifacts only
   /// Whichever is newest by epoch, quantized preferred on ties — landing a
   /// quantized artifact next to the fp32 checkpoint of the same epoch hot-
-  /// swaps the serving path to int8, and a newer fp32 checkpoint swaps it
-  /// back.
+  /// swaps the served parameters to the dequantized int8 ones, and a newer
+  /// fp32 checkpoint swaps them back.
   kAuto,
 };
 
@@ -52,15 +52,17 @@ enum class PrecisionMode {
 /// snapshot at admission and score against it for their whole lifetime, so
 /// a hot reload can never hand one request parameters from two models.
 struct ModelSnapshot {
-  /// What requests score with; never null in a published snapshot. Points
-  /// at `model` for fp32 snapshots, at a QuantizedModel for int8 ones.
+  /// What requests score with; never null in a published snapshot, and
+  /// always the same object as `model`.
   std::shared_ptr<const PoiScorer> scorer;
-  /// The full fp32 model; null when the snapshot is quantized. Kept for
-  /// callers that need more than scoring (embedding inspection).
+  /// The model itself, for callers that need more than scoring (embedding
+  /// inspection). Never null in a published snapshot.
   std::shared_ptr<const StTransRec> model;
+  /// Format of the loaded artifact. Only kFp32 snapshots carry a trained
+  /// word table (a v2 artifact drops it) and accept streaming deltas.
   Precision precision = Precision::kFp32;
-  /// Approximate resident bytes of the scorer's parameters (the number
-  /// /statz reports as model bytes).
+  /// Resident bytes of the model's fp32 parameters (the number /statz
+  /// reports as model bytes); an int8 snapshot is resident at fp32 size.
   size_t resident_bytes = 0;
   std::string checkpoint_path;
   size_t epoch = 0;      ///< completed training epochs in the checkpoint
@@ -97,7 +99,8 @@ struct ModelBundleConfig {
   ServeStats* stats = nullptr;
   /// Directory streaming delta checkpoints (core/delta.h) are consumed
   /// from; empty disables delta hot-patching. Deltas only patch fp32
-  /// snapshots (the int8 path republishes full quantized artifacts).
+  /// snapshots: each names its base's "model" section CRC, which a v2
+  /// artifact does not have.
   std::string delta_dir;
 };
 
@@ -188,13 +191,14 @@ class ModelBundle {
   /// Newest checkpoint path eligible under config_.precision.
   StatusOr<std::string> SelectCheckpoint() const;
   std::string QuantDir() const;
+  /// Prepare + fingerprint check + parameter load of the checkpoint at
+  /// `path` under config_.precision: a v1 training checkpoint loads as is,
+  /// a v2 artifact is dequantized. Fills `provenance`'s precision, path,
+  /// epoch and (v1) model CRC. Also stocks the delta standby instances.
+  StatusOr<std::shared_ptr<StTransRec>> LoadModel(
+      const std::string& path, ModelSnapshot* provenance) const;
   StatusOr<std::shared_ptr<ModelSnapshot>> LoadSnapshot(
       const std::string& path) const;
-  /// Fp32 half of LoadSnapshot, reused to stock the delta standby
-  /// instances: Prepare + fingerprint check + parameter load from a v1
-  /// checkpoint. `model_crc` (optional) receives the "model" section CRC.
-  StatusOr<std::shared_ptr<StTransRec>> LoadFp32Base(const std::string& path,
-                                                     uint32_t* model_crc) const;
   void Swap(std::shared_ptr<ModelSnapshot> next) EXCLUDES(mu_);
   /// Swap for delta patches: publishes `next` under mu_ and hands back the
   /// delta listeners (not the reload listeners — a delta must not trigger

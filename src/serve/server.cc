@@ -113,7 +113,6 @@ bool ParseDoubleView(std::string_view s, double* out) {
 RecommendServer::RecommendServer(ServerConfig config, const Dataset& dataset,
                                  ModelBundle* bundle, CandidateIndex* index,
                                  ResultCache* cache, ServeStats* stats,
-                                 EmbeddingStore* store,
                                  stream::IngestService* ingest,
                                  const stream::ColdStartScorer* cold_start)
     : config_(config),
@@ -122,7 +121,6 @@ RecommendServer::RecommendServer(ServerConfig config, const Dataset& dataset,
       index_(index),
       cache_(cache),
       stats_(stats),
-      store_(store),
       ingest_(ingest),
       cold_start_(cold_start) {
   STTR_CHECK(bundle_ != nullptr);
@@ -131,13 +129,6 @@ RecommendServer::RecommendServer(ServerConfig config, const Dataset& dataset,
   STTR_CHECK(!config_.enable_cache || cache_ != nullptr)
       << "enable_cache without a ResultCache";
   STTR_CHECK_GT(config_.num_workers, 0u);
-  if (store_ != nullptr) {
-    // Degraded-mode fallback ranking: global check-in counts per POI.
-    poi_popularity_.assign(dataset_.num_pois(), 0.0);
-    for (const CheckinRecord& rec : dataset_.checkins()) {
-      poi_popularity_[static_cast<size_t>(rec.poi)] += 1.0;
-    }
-  }
 }
 
 RecommendServer::~RecommendServer() { Shutdown(); }
@@ -179,14 +170,6 @@ Status RecommendServer::Start() {
 
   started_at_ = std::chrono::steady_clock::now();
   running_.store(true, std::memory_order_release);
-
-  if (store_ != nullptr) {
-    // Pin the store to the snapshot it was sliced from: a later hot reload
-    // changes the version, and requests then score in-process rather than
-    // mixing new MLP weights with the store's old rows.
-    const std::shared_ptr<const ModelSnapshot> snapshot = bundle_->snapshot();
-    store_version_ = snapshot != nullptr ? snapshot->version : 0;
-  }
 
   const size_t n_loops = std::max<size_t>(1, config_.num_io_threads);
   EventLoop::Options opts;
@@ -520,7 +503,10 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
   // Cold-start detection: a user with no history in the request city scores
   // through the word bridge, bypassing the cache entirely — those scores
   // track the live word table, which row-level invalidation does not cover.
-  const bool cold = cold_start_ != nullptr && snapshot->model != nullptr &&
+  // Only an fp32 snapshot has a trained word table: a v2 artifact drops it,
+  // so an int8 snapshot's table is Prepare()'s random initialisation.
+  const bool cold = cold_start_ != nullptr &&
+                    snapshot->precision == Precision::kFp32 &&
                     cold_start_->IsColdIn(p.user, city_id);
 
   bool cached = false;
@@ -535,7 +521,6 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
     }
   }
   ResultCache::Value computed;  // cold path only: allocations expected
-  bool degraded = false;
   if (!cached) {
     index_->CandidatesInto(city_id, loc, 0, &scratch.cand,
                            &scratch.candidates);
@@ -554,19 +539,6 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
                          {scratch.candidates.data(),
                           scratch.candidates.size()},
                          &scores);
-    } else if (StoreUsable(*snapshot)) {
-      if (!ScoreViaStore(*snapshot->model, p.user,
-                         {scratch.candidates.data(),
-                          scratch.candidates.size()},
-                         &scores)) {
-        // Explicit degradation: the store missed its deadline or its shards
-        // are down. Rank candidates by global popularity and say so —
-        // never serve silently wrong scores.
-        degraded = true;
-        stats_->degraded_requests.fetch_add(1, std::memory_order_relaxed);
-        PopularityScores(
-            {scratch.candidates.data(), scratch.candidates.size()}, &scores);
-      }
     } else {
       scratch.users.assign(scratch.candidates.size(), p.user);
       stats_->scored_pairs.fetch_add(scratch.candidates.size(),
@@ -577,10 +549,8 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
     }
     computed = TopKByScore(scratch.candidates, scores,
                            static_cast<size_t>(p.k));
-    // A degraded ranking must never poison the cache: it would outlive the
-    // outage and keep serving after the store recovers. Cold-start results
-    // stay uncached too (see above).
-    if (p.use_cache && !degraded && !cold) cache_->Put(key, computed, ticket);
+    // Cold-start results stay uncached (see above).
+    if (p.use_cache && !cold) cache_->Put(key, computed, ticket);
     top = &computed;
   }
 
@@ -596,15 +566,9 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
   b.AppendInt(p.k);
   b.Append(", \"cached\": ");
   b.Append(cached ? std::string_view("true") : std::string_view("false"));
-  if (store_ != nullptr) {
-    // Only store-backed servers carry the marker, so a store-less server's
-    // response bytes are unchanged.
-    b.Append(", \"degraded\": ");
-    b.Append(degraded ? std::string_view("true") : std::string_view("false"));
-  }
   if (cold_start_ != nullptr) {
-    // Same opt-in rule as "degraded": only cold-start-enabled servers
-    // carry the marker.
+    // Only cold-start-enabled servers carry the marker, so other servers'
+    // response bytes are unchanged.
     b.Append(", \"cold_start\": ");
     b.Append(cold ? std::string_view("true") : std::string_view("false"));
   }
@@ -718,8 +682,7 @@ void RecommendServer::RecordLatency(
 
 std::string RecommendServer::HealthzBody(int* http_status) const {
   // A load balancer polling /healthz must see a non-200 when this replica
-  // cannot serve real scores: no loadable model, or embedding shards down
-  // (requests are degrading to the popularity fallback).
+  // cannot serve real scores: no loadable model.
   const std::shared_ptr<const ModelSnapshot> snapshot = bundle_->snapshot();
   std::ostringstream os;
   if (snapshot == nullptr || snapshot->scorer == nullptr) {
@@ -727,68 +690,11 @@ std::string RecommendServer::HealthzBody(int* http_status) const {
     os << "{\"status\": \"unavailable\", \"reason\": \"no model loaded\"}";
     return os.str();
   }
-  const size_t down = store_ != nullptr ? store_->shards_down() : 0;
-  if (down > 0) {
-    *http_status = 503;
-    os << "{\"status\": \"degraded\", \"reason\": \"" << down << "/"
-       << store_->num_shards() << " embedding shards down\"";
-  } else {
-    *http_status = 200;
-    os << "{\"status\": \"ok\"";
-  }
-  os << ", \"checkpoint\": \"" << snapshot->checkpoint_path << "\""
-     << ", \"model_epoch\": " << snapshot->epoch
+  *http_status = 200;
+  os << "{\"status\": \"ok\", \"checkpoint\": \"" << snapshot->checkpoint_path
+     << "\", \"model_epoch\": " << snapshot->epoch
      << ", \"model_version\": " << snapshot->version << "}";
   return os.str();
-}
-
-bool RecommendServer::StoreUsable(const ModelSnapshot& snapshot) const {
-  if (store_ == nullptr || snapshot.model == nullptr) return false;
-  if (snapshot.version != store_version_) {
-    stats_->store_bypassed.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-bool RecommendServer::ScoreViaStore(const StTransRec& model, UserId user,
-                                    std::span<const PoiId> pois,
-                                    std::vector<double>* scores) const {
-  const std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::now() + config_.store_deadline;
-  const size_t d = store_->dim();
-  const size_t n = pois.size();
-  std::vector<float> user_row(d);
-  const int64_t uid = user;
-  Status st = store_->Gather(EmbeddingTable::kUser, {&uid, 1},
-                             user_row.data(), deadline);
-  std::vector<float> poi_rows(n * d);
-  if (st.ok()) {
-    st = store_->Gather(EmbeddingTable::kPoi, pois, poi_rows.data(),
-                        deadline);
-  }
-  if (!st.ok()) {
-    STTR_LOG(Debug) << "store gather failed, degrading: " << st.ToString();
-    return false;
-  }
-  // The MLP input assembled exactly as ScorePairs lays it out:
-  // row i = [user row | poi row], so the scores are bit-identical.
-  Tensor h({n, 2 * d});
-  for (size_t i = 0; i < n; ++i) {
-    float* dst = h.row(i);
-    std::memcpy(dst, user_row.data(), d * sizeof(float));
-    std::memcpy(dst + d, poi_rows.data() + i * d, d * sizeof(float));
-  }
-  *scores = model.ScoreGatheredPairs(h);
-  return true;
-}
-
-void RecommendServer::PopularityScores(std::span<const PoiId> pois,
-                                       std::vector<double>* scores) const {
-  scores->resize(pois.size());
-  for (size_t i = 0; i < pois.size(); ++i) {
-    (*scores)[i] = poi_popularity_[static_cast<size_t>(pois[i])];
-  }
 }
 
 }  // namespace sttr::serve

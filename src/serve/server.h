@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -14,7 +13,6 @@
 #include "data/dataset.h"
 #include "serve/candidate_index.h"
 #include "serve/conn.h"
-#include "serve/embedding_store.h"
 #include "serve/event_loop.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
@@ -55,10 +53,6 @@ struct ServerConfig {
   /// Requests may bypass the cache with ?nocache=1 (the loadgen's cold
   /// mode); this disables the cache entirely.
   bool enable_cache = true;
-  /// Per-request embedding-store gather budget (only used when a store is
-  /// configured). A stalled shard can consume at most this much of a
-  /// request's time before the request degrades.
-  std::chrono::milliseconds store_deadline{50};
 };
 
 /// Minimal HTTP/1.1 JSON server over POSIX sockets gluing the serving
@@ -79,7 +73,9 @@ struct ServerConfig {
 /// history in the request city and scores through the word bridge instead
 /// of the interaction tower (see stream/cold_start.h); such responses carry
 /// "cold_start": true, bypass the result cache, and honour an optional
-/// &hour=H time-of-day parameter.
+/// &hour=H time-of-day parameter. The bridge needs a trained word table,
+/// which only fp32 snapshots have: on an int8 snapshot every user is
+/// scored by the tower.
 ///
 /// One request's path: snapshot capture -> cache probe (keyed by the query
 /// location's grid cell) -> candidate generation -> ScorePairs on the
@@ -103,27 +99,12 @@ class RecommendServer {
   /// All dependencies must outlive the server. `cache` may be null iff
   /// config.enable_cache is false.
   ///
-  /// `store` (optional) routes embedding lookups through an EmbeddingStore
-  /// instead of the snapshot's own tables: rows are gathered under
-  /// config.store_deadline and scored with the snapshot's MLP tower,
-  /// bit-identical to direct scoring when the store is healthy. When a
-  /// gather fails (shards down/stalled), the request is served *degraded* —
-  /// cached results if valid, else a candidate-popularity ranking — with
-  /// "degraded": true in the response, never silently different scores.
-  /// Store-backed responses additionally carry "degraded": false, so a
-  /// store-less server's bytes are unchanged. The store only applies to
-  /// fp32 snapshots of the model version serving when Start() ran. A hot
-  /// reload or a streaming delta changes the version; from then on requests
-  /// score in-process (correct, not degraded) and each one is counted in
-  /// ServeStats::store_bypassed.
-  ///
   /// `ingest` (optional) enables POST /checkin, feeding the streaming
   /// trainer; without it the route answers 404. `cold_start` (optional)
   /// enables word-bridge scoring for target-city-cold users on /recommend.
   RecommendServer(ServerConfig config, const Dataset& dataset,
                   ModelBundle* bundle, CandidateIndex* index,
                   ResultCache* cache, ServeStats* stats,
-                  EmbeddingStore* store = nullptr,
                   stream::IngestService* ingest = nullptr,
                   const stream::ColdStartScorer* cold_start = nullptr);
   ~RecommendServer();
@@ -212,23 +193,8 @@ class RecommendServer {
 
   void AcceptLoop();
 
-  /// True when this request's snapshot can score through the configured
-  /// store: fp32 model present and still the version the store was built
-  /// against. A store-backed server's request that fails the version check
-  /// bumps ServeStats::store_bypassed.
-  bool StoreUsable(const ModelSnapshot& snapshot) const;
-  /// Store-backed scoring: gathers the user and candidate rows under
-  /// config.store_deadline, assembles the MLP input exactly as ScorePairs
-  /// does, and scores with the snapshot's tower. False: the store could not
-  /// serve the rows in time — the caller degrades.
-  bool ScoreViaStore(const StTransRec& model, UserId user,
-                     std::span<const PoiId> pois,
-                     std::vector<double>* scores) const;
-  /// Degraded ranking: global check-in popularity of each candidate.
-  void PopularityScores(std::span<const PoiId> pois,
-                        std::vector<double>* scores) const;
-  /// /healthz body + status: 503 with a reason while no model is loadable
-  /// or the store has shards down, 200 otherwise.
+  /// /healthz body + status: 503 with a reason while no model is loadable,
+  /// 200 otherwise.
   std::string HealthzBody(int* http_status) const;
 
   ServerConfig config_;
@@ -237,14 +203,8 @@ class RecommendServer {
   CandidateIndex* index_;
   ResultCache* cache_;
   ServeStats* stats_;
-  EmbeddingStore* store_;
   stream::IngestService* ingest_;
   const stream::ColdStartScorer* cold_start_;
-  /// Model version the store's rows correspond to, captured at Start().
-  uint64_t store_version_ = 0;
-  /// Per-POI global check-in counts, built once when a store is configured
-  /// (the degraded fallback ranking).
-  std::vector<double> poi_popularity_;
 
   int listen_fd_ = -1;
   int port_ = 0;

@@ -60,8 +60,8 @@ struct ShardedStoreOptions {
 /// by one poll() loop per Gather call), reassembles rows in request order,
 /// and wraps the whole exchange in deadline + retry + circuit-breaker
 /// discipline. A Gather either returns rows bit-identical to the in-process
-/// oracle or a non-OK Status — the caller (RecommendServer) turns the
-/// latter into explicit degraded serving, never into silently wrong scores.
+/// oracle or a non-OK Status, never silently wrong rows. A library: the
+/// recommend server scores in-process and holds no store.
 ///
 /// Thread-safe: concurrent Gathers share only the per-shard connection
 /// pools and health state, both Mutex/atomic-guarded; each Gather drives

@@ -129,11 +129,8 @@ std::string ServeStats::ToJson(double uptime_seconds) const {
      << ", \"shard_errors\": " << shard_errors.load(std::memory_order_relaxed)
      << ", \"shard_retries\": "
      << shard_retries.load(std::memory_order_relaxed)
-     << ", \"degraded_requests\": "
-     << degraded_requests.load(std::memory_order_relaxed)
      << ", \"shards_down\": " << shards_down.load(std::memory_order_relaxed)
-     << ", \"store_bypassed\": "
-     << store_bypassed.load(std::memory_order_relaxed) << "}";
+     << "}";
   {
     const LatencyHistogram::Summary apply = delta_apply_latency.Summarize();
     os << ", \"ingest\": {\"checkins_http\": "

@@ -98,11 +98,7 @@ struct ServeStats {
   std::atomic<uint64_t> shard_gathers{0};  ///< store Gather() calls
   std::atomic<uint64_t> shard_errors{0};   ///< failed per-shard attempts
   std::atomic<uint64_t> shard_retries{0};  ///< re-sent per-shard sub-gathers
-  std::atomic<uint64_t> degraded_requests{0};  ///< fallback-ranked responses
-  std::atomic<uint64_t> shards_down{0};        ///< gauge: tripped shards
-  /// Requests of a store-backed server scored in-process because a reload
-  /// or a streaming delta moved the model past the store's version.
-  std::atomic<uint64_t> store_bypassed{0};
+  std::atomic<uint64_t> shards_down{0};    ///< gauge: tripped shards
 
   // Streaming ingestion (src/stream/): producer-side counters live in the
   // embedded IngestStats (bumped by the ingest service), consumer-side

@@ -11,7 +11,7 @@ namespace sttr {
 
 namespace {
 
-/// round-to-nearest, clamped into the maddubs-safe int8 range.
+/// round-to-nearest, clamped into the symmetric int8 range [-127, 127].
 int8_t ClampToI8(float v) {
   const long r = std::lround(v);
   return static_cast<int8_t>(std::clamp<long>(r, -127, 127));

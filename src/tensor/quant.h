@@ -25,8 +25,7 @@ const char* QuantSchemeName(QuantScheme scheme);
 
 /// A row-major fp32 matrix quantized to int8 with one scale (and, for
 /// kAffine, one zero point) per row. Values are clamped to [-127, 127] —
-/// never -128 — which is what keeps the AVX2 maddubs dot product
-/// (simd::DotI8) saturation-free; see tensor/simd.h.
+/// never -128 — so the code range is symmetric about zero.
 ///
 /// Dequantization: x = scale[r] * (q - zero_point[r]), with zero_point == 0
 /// everywhere under kSymmetric (the vector is not stored).
@@ -51,8 +50,8 @@ struct RowQuantizedMatrix {
   /// Dequantizes row `r` into out[0..cols).
   void DequantizeRowInto(size_t r, float* out) const;
 
-  /// Whole-matrix dequantization (tests / inspection; serving never needs
-  /// the fp32 table back).
+  /// Whole-matrix dequantization (tests / inspection; a serving load
+  /// dequantizes row by row straight into the model's tables).
   Tensor Dequantize() const;
 
   /// Binary write/read, same stream style as Tensor::Serialize.

@@ -10,8 +10,7 @@
 
 // Single dispatch point for the hand-vectorised training hot loops — axpy
 // (gradient all-reduce), the optimiser row updates (lazy Adam / AdaGrad /
-// SGD), the sigmoid / BCE-with-logits forward — and the int8 inference
-// kernels of the quantized serving path. STTR_SIMD is defined when the
+// SGD) and the sigmoid / BCE-with-logits forward. STTR_SIMD is defined when the
 // target supports AVX2+FMA (any x86 since Haswell under -march=native)
 // unless the build opts out with -DSTTR_NO_SIMD (cmake -DSTTR_SIMD=OFF).
 //
@@ -121,25 +120,10 @@ inline void SgdRowScalar(float* w, const float* g, size_t n, float lr) {
   for (size_t j = 0; j < n; ++j) w[j] -= lr * g[j];
 }
 
-// ---- Scalar int8 reference kernels ------------------------------------------
-// Inputs must lie in [-127, 127] (the quantizer clamps there; see
-// tensor/quant.h). Excluding -128 keeps |a[i]*b[i]| + |a[i+1]*b[i+1]| <=
-// 2*127*127 = 32258 < 32767, so the AVX2 maddubs pair-sum below can never
-// saturate and vector == scalar exactly.
+// ---- Scalar int8 helpers ---------------------------------------------------
 
-/// sum_i a[i] * b[i] in int32. Exact for n < ~133k at the +/-127 input
-/// bound (n * 127^2 < 2^31); embedding widths are orders of magnitude
-/// smaller.
-inline int32_t DotI8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
-/// sum_i v[i] in int32 (per-column weight sums for the affine zero-point
-/// correction). Quantize-time only, so no vector form.
+/// sum_i v[i] in int32 (the layer-0 column sums a quantized artifact stores
+/// and checks). Artifact write/read time only, so no vector form.
 inline int32_t SumI8Scalar(const int8_t* v, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) acc += static_cast<int32_t>(v[i]);
@@ -357,53 +341,6 @@ inline void AdaGradRow(float* w, float* acc, const float* g, size_t n,
 /// Momentum-free SGD: w -= lr * g.
 inline void SgdRow(float* w, const float* g, size_t n, float lr) {
   Axpy(w, g, -lr, n);
-}
-
-// ---- Int8 inference kernels -------------------------------------------------
-
-/// sum_i a[i] * b[i] in int32; inputs in [-127, 127] (see DotI8Scalar).
-/// AVX2 path: |a| (u8) x sign(b, a) (s8) through maddubs pair-sums into
-/// int16 — saturation-free at the +/-127 bound — then madd into 8 int32
-/// accumulator lanes reduced in lane order, so vector == scalar exactly.
-inline int32_t DotI8(const int8_t* a, const int8_t* b, size_t n) {
-#ifdef STTR_SIMD
-  if (!RuntimeEnabled()) return DotI8Scalar(a, b, n);
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // maddubs wants (unsigned, signed): move a's sign onto b.
-    const __m256i abs_a = _mm256_abs_epi8(va);
-    const __m256i sgn_b = _mm256_sign_epi8(vb, va);
-    const __m256i pair16 = _mm256_maddubs_epi16(abs_a, sgn_b);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pair16, ones16));
-  }
-  alignas(32) int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int32_t total = 0;
-  for (int lane = 0; lane < 8; ++lane) total += lanes[lane];
-  return total + DotI8Scalar(a + i, b + i, n - i);
-#else
-  return DotI8Scalar(a, b, n);
-#endif
-}
-
-/// Row-major int8 GEMM with the right-hand side pre-transposed:
-/// c[i*m + j] = dot(a_row_i, b_row_j) where `a` is n rows of k and `b` is
-/// m rows of k (the logical B's columns stored contiguously). This is the
-/// quantized MLP's layer-0 shape: every output needs one length-k int8 dot,
-/// and B (the weight) is small enough to stay cache-resident across rows.
-inline void GemmI8RowMajor(const int8_t* a, const int8_t* b, int32_t* c,
-                           size_t n, size_t m, size_t k) {
-  for (size_t i = 0; i < n; ++i) {
-    const int8_t* arow = a + i * k;
-    int32_t* crow = c + i * m;
-    for (size_t j = 0; j < m; ++j) crow[j] = DotI8(arow, b + j * k, k);
-  }
 }
 
 }  // namespace sttr::simd

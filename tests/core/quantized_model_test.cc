@@ -1,8 +1,8 @@
-// Quantized serving snapshots (core/quantized_model.h): scoring parity
-// against the fp32 model within the documented error bounds, internal
-// Score/ScoreBatch/ScorePairs agreement, the v2 checkpoint round trip, and
-// the version accept/reject matrix keeping training checkpoints and serving
-// artifacts from crossing paths.
+// Quantized serving artifacts (core/quantized_model.h): the model a server
+// loads from one (the artifact dequantized into an StTransRec) scores
+// within the documented bound of the fp32 model, the v2 checkpoint round
+// trip is bit-identical, and the version accept/reject matrix keeps
+// training checkpoints and serving artifacts from crossing paths.
 
 #include "core/quantized_model.h"
 
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,24 @@ class QuantizedModelTest : public ::testing::Test {
     fixture_ = nullptr;
   }
 
+  /// What a server scores with: `quant` dequantized into a freshly
+  /// prepared model.
+  static std::unique_ptr<StTransRec> Dequantized(const QuantizedModel& quant) {
+    auto model = std::make_unique<StTransRec>(SmallConfig());
+    STTR_CHECK_OK(model->Prepare(fixture_->world.dataset, fixture_->split));
+    STTR_CHECK_OK(quant.DequantizeInto(*model));
+    return model;
+  }
+
+  /// `quant` written to a v2 file and read back.
+  static QuantizedModel RoundTrip(const QuantizedModel& quant) {
+    const std::string path = TestDir() + "/" + CheckpointFileName(2);
+    STTR_CHECK_OK(quant.WriteCheckpointFile(*Env::Default(), path));
+    auto back = QuantizedModel::LoadFromCheckpoint(*Env::Default(), path);
+    STTR_CHECK_OK(back.status());
+    return *std::move(back);
+  }
+
   static Fixture* fixture_;
   static StTransRec* model_;
 };
@@ -84,37 +103,21 @@ StTransRec* QuantizedModelTest::model_ = nullptr;
 TEST_F(QuantizedModelTest, ScoresTrackFp32Closely) {
   const auto quant = QuantizedModel::Quantize(*model_);
   ASSERT_TRUE(quant.ok()) << quant.status().ToString();
+  // The model loaded back from the artifact is what an int8 server scores.
+  const auto served = Dequantized(RoundTrip(*quant));
   std::vector<UserId> users;
   std::vector<PoiId> pois;
   TestPairs(*fixture_, &users, &pois);
   const std::vector<double> ref = model_->ScorePairs(users, pois);
-  const std::vector<double> got = quant->ScorePairs(users, pois);
+  const std::vector<double> got = served->ScorePairs(users, pois);
   ASSERT_EQ(ref.size(), got.size());
   double max_delta = 0.0;
   for (size_t i = 0; i < ref.size(); ++i) {
     max_delta = std::max(max_delta, std::fabs(ref[i] - got[i]));
   }
-  // Post-sigmoid scores; one quantized layer with per-row scales stays well
-  // inside this (measured ~7e-3 on the tiny world).
+  // Post-sigmoid scores; int8 tables and layer 0 with per-row scales stay
+  // well inside this on the tiny world.
   EXPECT_LT(max_delta, 0.05);
-}
-
-TEST_F(QuantizedModelTest, ScoreVariantsAgreeBitwise) {
-  const auto quant = QuantizedModel::Quantize(*model_);
-  ASSERT_TRUE(quant.ok());
-  const auto& pois = fixture_->world.dataset.PoisInCity(0);
-  const size_t n = std::min<size_t>(pois.size(), 12);
-  const UserId u = fixture_->split.test_users.front().user;
-  const std::vector<double> batch =
-      quant->ScoreBatch(u, {pois.data(), n});
-  const std::vector<UserId> users(n, u);
-  const std::vector<double> paired =
-      quant->ScorePairs(users, {pois.data(), n});
-  ASSERT_EQ(batch.size(), n);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(batch[i], paired[i]) << i;
-    EXPECT_EQ(quant->Score(u, pois[i]), batch[i]) << i;
-  }
 }
 
 TEST_F(QuantizedModelTest, EmbeddingBytesMatchQuantizedLayout) {
@@ -130,31 +133,28 @@ TEST_F(QuantizedModelTest, EmbeddingBytesMatchQuantizedLayout) {
                 rows * (sizeof(float) + sizeof(int32_t)));
   EXPECT_LT(quant->EmbeddingBytes(),
             rows * quant->embedding_dim() * sizeof(float));
-  EXPECT_GT(quant->ApproxBytes(), quant->EmbeddingBytes());
 }
 
 TEST_F(QuantizedModelTest, CheckpointRoundTripIsBitIdentical) {
+  std::vector<UserId> users;
+  std::vector<PoiId> pois;
+  TestPairs(*fixture_, &users, &pois);
   for (const bool fp16_tail : {true, false}) {
     QuantizationConfig cfg;
     cfg.fp16_tail = fp16_tail;
     const auto quant = QuantizedModel::Quantize(*model_, cfg);
     ASSERT_TRUE(quant.ok());
-    const std::string path = TestDir() + "/" + CheckpointFileName(2);
-    ASSERT_TRUE(quant->WriteCheckpointFile(*Env::Default(), path).ok());
+    const QuantizedModel back = RoundTrip(*quant);
+    EXPECT_EQ(back.epoch(), quant->epoch());
+    EXPECT_EQ(back.config_fingerprint(), quant->config_fingerprint());
+    EXPECT_EQ(back.fp16_tail(), fp16_tail);
 
-    const auto back = QuantizedModel::LoadFromCheckpoint(*Env::Default(), path);
-    ASSERT_TRUE(back.ok()) << back.status().ToString();
-    EXPECT_EQ(back->epoch(), quant->epoch());
-    EXPECT_EQ(back->config_fingerprint(), quant->config_fingerprint());
-    EXPECT_EQ(back->fp16_tail(), fp16_tail);
-
-    // Quantize() pre-round-trips the tail through fp16, so the reloaded
-    // scorer must reproduce the in-memory one bit for bit — the property
-    // that makes --fidelity numbers measured in-process match production.
-    std::vector<UserId> users;
-    std::vector<PoiId> pois;
-    TestPairs(*fixture_, &users, &pois);
-    EXPECT_EQ(quant->ScorePairs(users, pois), back->ScorePairs(users, pois))
+    // Quantize() pre-round-trips the tail through fp16, so the model loaded
+    // from the file must score like the in-memory artifact bit for bit —
+    // the property that makes --fidelity numbers measured in-process match
+    // production.
+    EXPECT_EQ(Dequantized(*quant)->ScorePairs(users, pois),
+              Dequantized(back)->ScorePairs(users, pois))
         << "fp16_tail=" << fp16_tail;
   }
 }
@@ -165,11 +165,27 @@ TEST_F(QuantizedModelTest, SymmetricSchemeAlsoRoundTrips) {
   const auto quant = QuantizedModel::Quantize(*model_, cfg);
   ASSERT_TRUE(quant.ok());
   EXPECT_EQ(quant->embedding_scheme(), QuantScheme::kSymmetric);
-  const std::string path = TestDir() + "/" + CheckpointFileName(2);
-  ASSERT_TRUE(quant->WriteCheckpointFile(*Env::Default(), path).ok());
-  const auto back = QuantizedModel::LoadFromCheckpoint(*Env::Default(), path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->embedding_scheme(), QuantScheme::kSymmetric);
+  const QuantizedModel back = RoundTrip(*quant);
+  EXPECT_EQ(back.embedding_scheme(), QuantScheme::kSymmetric);
+  std::vector<UserId> users;
+  std::vector<PoiId> pois;
+  TestPairs(*fixture_, &users, &pois);
+  EXPECT_EQ(Dequantized(*quant)->ScorePairs(users, pois),
+            Dequantized(back)->ScorePairs(users, pois));
+}
+
+TEST_F(QuantizedModelTest, DequantizeRejectsAModelOfAnotherConfig) {
+  const auto quant = QuantizedModel::Quantize(*model_);
+  ASSERT_TRUE(quant.ok());
+  StTransRecConfig wider = SmallConfig();
+  wider.embedding_dim = 16;
+  StTransRec other(wider);
+  ASSERT_TRUE(other.Prepare(fixture_->world.dataset, fixture_->split).ok());
+  const Status status = quant->DequantizeInto(other);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  StTransRec unprepared(SmallConfig());
+  EXPECT_FALSE(quant->DequantizeInto(unprepared).ok());
 }
 
 TEST_F(QuantizedModelTest, EpochDefaultsToLossHistoryAndHonorsOverride) {

@@ -83,8 +83,8 @@ TEST_F(EmbeddingStoreTest, OutOfRangeIdsAreRejected) {
 
 // The serving decomposition: gather [user | poi] rows through the store,
 // score the assembled matrix with ScoreGatheredPairs. Must equal the
-// resident ScoreBatch path double-for-double — this is the equivalence the
-// RecommendServer's store path stakes its bit-identity claim on.
+// resident ScoreBatch path double-for-double — the equivalence any
+// store-backed scorer (and perfbench's traced replay) relies on.
 TEST_F(EmbeddingStoreTest, ScoreViaGatherEqualsScoreBatch) {
   InProcessEmbeddingStore store(*model_);
   const size_t d = store.dim();

@@ -234,8 +234,7 @@ class GoldenTest : public ::testing::Test {
     config.default_city = fixture_->split.target_city;
     stack->server = std::make_unique<RecommendServer>(
         config, dataset(), stack->bundle.get(), index_.get(),
-        stack->cache.get(), &stack->stats,
-        /*store=*/nullptr, stack->ingest.get(),
+        stack->cache.get(), &stack->stats, stack->ingest.get(),
         opt.cold_start ? cold_scorer_.get() : nullptr);
     STTR_CHECK_OK(stack->server->Start());
     return stack;

@@ -1,9 +1,11 @@
 // Precision selection and fp32 <-> int8 hot swapping in ModelBundle: kAuto
 // serves whichever artifact is newest by epoch (quantized preferred on
-// ties), explicit modes refuse the wrong container version, the result
-// cache keys on precision so a swap can't serve stale fp32 top-K as int8,
-// and — the TSan target — scorer threads hammer the snapshot while the
-// watcher swaps precision underneath them.
+// ties), explicit modes refuse the wrong container version, an int8
+// snapshot is the artifact dequantized into an StTransRec (one scorer per
+// snapshot, whatever the format), the result cache keys on precision so a
+// swap can't serve stale fp32 top-K as int8, and — the TSan target —
+// scorer threads hammer the snapshot while the watcher swaps precision
+// underneath them.
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +23,7 @@
 #include "core/quantized_model.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
+#include "tensor/quant.h"
 #include "serve_test_util.h"
 
 namespace sttr::serve {
@@ -71,6 +74,21 @@ class PrecisionReloadTest : public ::testing::Test {
     return target;
   }
 
+  /// `quant` dequantized into a freshly prepared model: what an int8
+  /// snapshot of it must score like.
+  std::unique_ptr<StTransRec> Dequantized(const QuantizedModel& quant) {
+    auto model = std::make_unique<StTransRec>(SmallServingModelConfig());
+    STTR_CHECK_OK(model->Prepare(dataset(), split()));
+    STTR_CHECK_OK(quant.DequantizeInto(*model));
+    return model;
+  }
+
+  /// Every published snapshot, whatever its format, scores with its model.
+  static bool SingleScorer(const ModelSnapshot& snapshot) {
+    return snapshot.model != nullptr &&
+           snapshot.scorer.get() == snapshot.model.get();
+  }
+
   std::vector<double> ScoreSome(const PoiScorer& scorer) {
     const auto& pois = dataset().PoisInCity(split().target_city);
     const size_t n = std::min<size_t>(pois.size(), 16);
@@ -95,14 +113,65 @@ TEST_F(PrecisionReloadTest, AutoPrefersQuantizedArtifactOnEpochTie) {
   const auto snapshot = bundle.snapshot();
   EXPECT_EQ(snapshot->precision, Precision::kInt8);
   EXPECT_EQ(snapshot->epoch, epoch);
-  EXPECT_EQ(snapshot->model, nullptr);
-  ASSERT_NE(snapshot->scorer, nullptr);
-  EXPECT_GT(snapshot->resident_bytes, 0u);
+  ASSERT_TRUE(SingleScorer(*snapshot));
+  // Dequantized, the parameters are resident at fp32 size.
+  size_t fp32_bytes = 0;
+  for (const auto& p : trainer->Parameters()) {
+    fp32_bytes += p.value().size() * sizeof(float);
+  }
+  EXPECT_EQ(snapshot->resident_bytes, fp32_bytes);
 
-  // The served int8 scorer is bit-identical to quantizing in process.
+  // The served int8 snapshot is bit-identical to quantizing in process.
   const auto quant = QuantizedModel::Quantize(*trainer);
   ASSERT_TRUE(quant.ok());
-  EXPECT_EQ(ScoreSome(*snapshot->scorer), ScoreSome(*quant));
+  EXPECT_EQ(ScoreSome(*snapshot->scorer), ScoreSome(*Dequantized(*quant)));
+}
+
+TEST_F(PrecisionReloadTest, Int8SnapshotHoldsDequantizedArtifact) {
+  const std::string dir = ServeTestDir();
+  const auto trainer = TrainSmallModel(*fixture_, dir);
+  LandQuantArtifact(*trainer, dir, 7);
+  ModelBundle bundle(dataset(), split(),
+                     BundleConfig(dir, PrecisionMode::kInt8));
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+  const auto snapshot = bundle.snapshot();
+  ASSERT_TRUE(SingleScorer(*snapshot));
+
+  // Quantization is deterministic, so requantizing the trained tables gives
+  // the artifact's codes: each served row is their dequantization, bit for
+  // bit.
+  const auto expect_rows = [](const Tensor& trained, const Tensor& served) {
+    const RowQuantizedMatrix q = QuantizeRows(trained, QuantScheme::kAffine);
+    ASSERT_EQ(served.shape(), trained.shape());
+    std::vector<float> row(q.cols);
+    for (size_t r = 0; r < q.rows; ++r) {
+      q.DequantizeRowInto(r, row.data());
+      for (size_t c = 0; c < q.cols; ++c) {
+        ASSERT_EQ(served.row(r)[c], row[c]) << "row " << r << " col " << c;
+      }
+    }
+  };
+  expect_rows(trainer->UserEmbeddingTable(),
+              snapshot->model->UserEmbeddingTable());
+  expect_rows(trainer->PoiEmbeddingTable(),
+              snapshot->model->PoiEmbeddingTable());
+
+  // Layer 0: W0[c][j] = scale_j * q[j][c] over the transposed weight.
+  const Tensor& w0 = trainer->Parameters()[3].value();
+  Tensor w0t({w0.cols(), w0.rows()});
+  for (size_t c = 0; c < w0.rows(); ++c) {
+    for (size_t j = 0; j < w0.cols(); ++j) w0t.row(j)[c] = w0.row(c)[j];
+  }
+  const RowQuantizedMatrix q = QuantizeRows(w0t, QuantScheme::kSymmetric);
+  const Tensor& served_w0 = snapshot->model->Parameters()[3].value();
+  ASSERT_EQ(served_w0.shape(), w0.shape());
+  for (size_t c = 0; c < w0.rows(); ++c) {
+    for (size_t j = 0; j < w0.cols(); ++j) {
+      ASSERT_EQ(served_w0.row(c)[j],
+                q.scale(j) * static_cast<float>(q.row(j)[c]))
+          << "c " << c << " j " << j;
+    }
+  }
 }
 
 TEST_F(PrecisionReloadTest, AutoServesFp32WhenNoQuantArtifactExists) {
@@ -112,8 +181,7 @@ TEST_F(PrecisionReloadTest, AutoServesFp32WhenNoQuantArtifactExists) {
                      BundleConfig(dir, PrecisionMode::kAuto));
   ASSERT_TRUE(bundle.LoadInitial().ok());
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kFp32);
-  ASSERT_NE(bundle.snapshot()->model, nullptr);
-  EXPECT_EQ(bundle.snapshot()->scorer.get(), bundle.snapshot()->model.get());
+  EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
 }
 
 TEST_F(PrecisionReloadTest, Int8ModeRefusesTrainingCheckpoints) {
@@ -152,6 +220,7 @@ TEST_F(PrecisionReloadTest, Int8ModeServesQuantDir) {
   ASSERT_TRUE(bundle.LoadInitial().ok());
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kInt8);
   EXPECT_EQ(bundle.snapshot()->epoch, 7u);
+  EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
 }
 
 TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
@@ -170,6 +239,7 @@ TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_TRUE(*swapped);
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kInt8);
+  EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
 
   // A newer fp32 checkpoint (the trainer moved on): swap back. (The copied
   // file's meta still says `epoch`, so only the precision is asserted —
@@ -179,6 +249,7 @@ TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
   ASSERT_TRUE(swapped.ok());
   EXPECT_TRUE(*swapped);
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kFp32);
+  EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
 
   // An even newer quant artifact: int8 again.
   LandQuantArtifact(*trainer, dir, epoch + 9);
@@ -187,6 +258,7 @@ TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
   EXPECT_TRUE(*swapped);
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kInt8);
   EXPECT_EQ(bundle.snapshot()->epoch, epoch + 9);
+  EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
 }
 
 TEST_F(PrecisionReloadTest, ResultCacheKeysDistinguishPrecision) {
@@ -227,11 +299,13 @@ TEST_F(PrecisionReloadTest, WatcherSwapsPrecisionUnderConcurrentScoring) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> torn_reads{0};
+  std::atomic<int> split_scorers{0};
   std::vector<std::thread> scorers;
   for (int t = 0; t < 4; ++t) {
     scorers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
         const std::shared_ptr<const ModelSnapshot> snap = bundle.snapshot();
+        if (!SingleScorer(*snap)) split_scorers.fetch_add(1);
         const std::vector<double> a = ScoreSome(*snap->scorer);
         const std::vector<double> b = ScoreSome(*snap->scorer);
         if (a != b) torn_reads.fetch_add(1);
@@ -264,6 +338,7 @@ TEST_F(PrecisionReloadTest, WatcherSwapsPrecisionUnderConcurrentScoring) {
   bundle.StopWatcher();
 
   EXPECT_EQ(torn_reads.load(), 0);
+  EXPECT_EQ(split_scorers.load(), 0);
   EXPECT_EQ(bundle.reload_count(), 3u);
 }
 

@@ -4,8 +4,8 @@
 // string at /statz — a silent failure looks exactly like "no new checkpoint
 // yet"), and the next attempt must recover. The watcher soak runs the same
 // scenario against a quantized artifact under the background poller while a
-// scorer keeps reading the snapshot — the mid-reload-tear case the sharded
-// serving tier depends on for zero-downtime rollouts.
+// scorer keeps reading the snapshot — the mid-reload tear zero-downtime
+// rollouts depend on surviving.
 
 #include <chrono>
 #include <filesystem>
@@ -170,6 +170,8 @@ TEST_F(ReloadFaultTest, WatcherSurvivesTornQuantReloadAndRecovers) {
   ModelBundle bundle(dataset(), split(), config);
   ASSERT_TRUE(bundle.LoadInitial().ok());
   ASSERT_EQ(bundle.snapshot()->precision, Precision::kInt8);
+  ASSERT_NE(bundle.snapshot()->model, nullptr);
+  EXPECT_EQ(bundle.snapshot()->scorer.get(), bundle.snapshot()->model.get());
 
   // Calibrate the kAuto read sequence (fp32 validate + quant validate +
   // load) with a healthy foreground reload.
@@ -198,7 +200,8 @@ TEST_F(ReloadFaultTest, WatcherSurvivesTornQuantReloadAndRecovers) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "watcher never hit the armed fault";
     const auto snapshot = bundle.snapshot();
-    ASSERT_NE(snapshot->scorer, nullptr);
+    ASSERT_NE(snapshot->model, nullptr);
+    ASSERT_EQ(snapshot->scorer.get(), snapshot->model.get());
     EXPECT_EQ(ScoreSome(*snapshot->scorer), baseline);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -219,6 +222,8 @@ TEST_F(ReloadFaultTest, WatcherSurvivesTornQuantReloadAndRecovers) {
   const auto snapshot = bundle.snapshot();
   EXPECT_EQ(snapshot->epoch, epoch + 2);
   EXPECT_EQ(snapshot->precision, Precision::kInt8);
+  ASSERT_NE(snapshot->model, nullptr);
+  EXPECT_EQ(snapshot->scorer.get(), snapshot->model.get());
   EXPECT_EQ(ScoreSome(*snapshot->scorer), baseline);
 }
 

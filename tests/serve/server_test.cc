@@ -22,12 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
+#include "core/quantized_model.h"
 #include "core/recommender.h"
 #include "serve/candidate_index.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
 #include "serve/server.h"
 #include "serve/stats.h"
+#include "stream/cold_start.h"
 #include "serve_test_util.h"
 #include "test_http_client.h"
 #include "util/check.h"
@@ -222,6 +225,64 @@ TEST_F(ServerTest, CacheServesSecondRequestAndReportsIt) {
   const auto bypass = client.Get(RecommendTarget(7, loc, 10, true));
   EXPECT_NE(bypass.body.find("\"cached\": false"), std::string::npos);
   EXPECT_EQ(ParseResults(bypass.body), ParseResults(cold.body));
+}
+
+TEST_F(ServerTest, Int8SnapshotScoresColdUsersThroughTheTower) {
+  // A v2 artifact carries no word table, so an int8 snapshot's table is
+  // Prepare()'s random initialisation and the word bridge must stay off: a
+  // target-city-cold user is ranked by the tower, exactly as in-process
+  // ScorePairs + TopKByScore rank it on that snapshot.
+  const std::string quant_dir = ServeTestDir();
+  const auto quant = QuantizedModel::Quantize(**trainer_);
+  ASSERT_TRUE(quant.ok()) << quant.status().ToString();
+  ASSERT_TRUE(quant->WriteCheckpointFile(*Env::Default(),
+                                         quant_dir + "/" +
+                                             CheckpointFileName(2))
+                  .ok());
+  ModelBundleConfig bundle_config;
+  bundle_config.checkpoint_dir = *ckpt_dir_;
+  bundle_config.model = SmallServingModelConfig();
+  bundle_config.precision = PrecisionMode::kInt8;
+  bundle_config.quant_checkpoint_dir = quant_dir;
+  ModelBundle bundle(dataset(), fixture_->split, bundle_config);
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+  const std::shared_ptr<const ModelSnapshot> snapshot = bundle.snapshot();
+  ASSERT_EQ(snapshot->precision, Precision::kInt8);
+
+  const stream::ColdStartScorer cold_start(dataset(),
+                                           stream::ColdStartConfig{});
+  UserId user = 0;
+  while (static_cast<size_t>(user) < dataset().num_users() &&
+         !cold_start.IsColdIn(user, target_city())) {
+    ++user;
+  }
+  ASSERT_LT(static_cast<size_t>(user), dataset().num_users());
+
+  ServeStats stats;
+  ServerConfig config;
+  config.num_workers = 1;
+  config.default_city = target_city();
+  config.enable_cache = false;
+  RecommendServer server(config, dataset(), &bundle, index_.get(),
+                         /*cache=*/nullptr, &stats, /*ingest=*/nullptr,
+                         &cold_start);
+  ASSERT_TRUE(server.Start().ok());
+  const GeoPoint loc = PoiLocation(3);
+  const auto response =
+      TestHttpClient(server.port()).Get(RecommendTarget(user, loc, 10));
+  server.Shutdown();
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_NE(response.body.find("\"cold_start\": false"), std::string::npos)
+      << response.body;
+  EXPECT_EQ(stats.cold_start_requests.load(), 0u);
+
+  const std::vector<PoiId> candidates = index_->Candidates(target_city(), loc);
+  const std::vector<UserId> users(candidates.size(), user);
+  const std::vector<double> scores =
+      snapshot->scorer->ScorePairs(users, candidates);
+  EXPECT_EQ(ParseResults(response.body),
+            TopKByScore({candidates.data(), candidates.size()},
+                        {scores.data(), scores.size()}, 10));
 }
 
 TEST_F(ServerTest, HealthzReportsServingCheckpoint) {

@@ -129,8 +129,7 @@ class IngestServerTest : public ::testing::Test {
     config.default_city = fixture_->split.target_city;
     side->server = std::make_unique<RecommendServer>(
         config, fixture_->world.dataset, side->bundle.get(), index_.get(),
-        side->cache.get(), &side->stats,
-        /*store=*/nullptr, side->ingest.get(),
+        side->cache.get(), &side->stats, side->ingest.get(),
         opt.with_cold_start ? cold_scorer_.get() : nullptr);
     STTR_CHECK_OK(side->server->Start());
     return side;

@@ -37,12 +37,12 @@ cmake --build "${build_dir}" -j \
            checkpoint_race_test result_cache_test \
            model_bundle_test server_test shutdown_race_test \
            event_loop_test golden_test precision_reload_test \
-           sharded_store_test store_server_test reload_fault_test \
+           sharded_store_test reload_fault_test \
            event_log_test ingest_service_test ingest_server_test \
            stream_e2e_test
 
 # TSan findings abort the run; halt_on_error keeps the first report readable.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ShardedStore|ShardChaos|StoreServer|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
+  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ShardedStore|ShardChaos|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
 echo "TSan run clean."

@@ -1,7 +1,8 @@
 // Offline post-training quantizer: converts the newest fp32 training
 // checkpoint in --ckpt_dir into an int8 serving artifact (v2 container,
-// core/quantized_model.h) under --out_dir, and optionally measures ranking
-// fidelity against the fp32 model it came from.
+// core/quantized_model.h) under --out_dir, and optionally measures the
+// ranking fidelity of the model a server loads from that artifact against
+// the fp32 model it came from.
 //
 // The world + model config must match what produced the checkpoint (the
 // config fingerprint is compared, like sttr_serve). Typical flow:
@@ -41,8 +42,9 @@ void DefineFlags(FlagParser& flags) {
   flags.Define("fp32_tail",
                "keep the MLP tail fp32 in the artifact (default stores fp16)");
   flags.Define("fidelity",
-               "rank the target city under fp32 and int8 and report "
-               "HR/NDCG deltas + top-k overlap");
+               "rank the target city under fp32 and under the model loaded "
+               "from the artifact, and report HR/NDCG deltas + top-k "
+               "overlap");
   flags.Define("fidelity_users",
                "cap on test users in the fidelity sweep (0 = all)", "0");
 }
@@ -155,15 +157,21 @@ int Main(int argc, char** argv) {
               fp32_table_bytes,
               static_cast<double>(fp32_table_bytes) /
                   static_cast<double>(quant->EmbeddingBytes()));
-  std::printf("  scorer resident: ~%zu bytes (tail %s)\n", quant->ApproxBytes(),
-              quant->fp16_tail() ? "stored fp16" : "stored fp32");
+  std::printf("  tail stored %s; served dequantized at fp32 size\n",
+              quant->fp16_tail() ? "fp16" : "fp32");
 
   if (flags.GetBool("fidelity", false)) {
+    // Score what a server would: the artifact just written, loaded back.
+    auto artifact = QuantizedModel::LoadFromCheckpoint(env, out_path);
+    STTR_CHECK_OK(artifact.status());
+    StTransRec served(model_cfg);
+    STTR_CHECK_OK(served.Prepare(ws.world.dataset, ws.split));
+    STTR_CHECK_OK(artifact->DequantizeInto(served));
     FidelityConfig fid_cfg;
     fid_cfg.max_users =
         static_cast<size_t>(flags.GetInt("fidelity_users", 0));
     const FidelityReport report =
-        CompareScorers(ws.world.dataset, ws.split, model, *quant, fid_cfg);
+        CompareScorers(ws.world.dataset, ws.split, model, served, fid_cfg);
     std::fputs(report.ToString().c_str(), stdout);
   }
   return 0;

@@ -28,15 +28,12 @@
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
 #include "serve/server.h"
-#include "serve/shard_server.h"
-#include "serve/sharded_store.h"
 #include "serve/stats.h"
 #include "stream/cold_start.h"
 #include "stream/incremental_trainer.h"
 #include "stream/ingest_service.h"
 #include "util/check.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace sttr {
 namespace {
@@ -76,19 +73,12 @@ void DefineFlags(FlagParser& flags) {
   flags.Define("quant_dir",
                "quantized-artifact directory for --precision=int8|auto "
                "(default: <ckpt_dir>/quant)");
-  flags.Define("shards",
-               "serve embeddings from N hash shards spawned in-process "
-               "(0 = direct in-process tables; fp32 only)", "0");
-  flags.Define("shard_ports",
-               "comma-separated loopback ports of external sttr_shard_server "
-               "processes (alternative to --shards; fp32 only)");
-  flags.Define("store_deadline_ms",
-               "per-request embedding gather budget before the request "
-               "degrades to the popularity fallback", "50");
   flags.Define("stream",
                "enable streaming ingestion: POST /checkin feeds an "
                "incremental trainer that publishes delta checkpoints the "
-               "bundle hot-patches (fp32 only)");
+               "bundle hot-patches (needs --precision=fp32: the trainer "
+               "starts from a v1 training checkpoint, and each delta names "
+               "that checkpoint's model CRC)");
   flags.Define("delta_dir",
                "delta checkpoint directory for --stream "
                "(default: <ckpt_dir>/deltas)");
@@ -172,8 +162,9 @@ int Main(int argc, char** argv) {
   if (streaming) {
     if (bundle_cfg.precision != serve::PrecisionMode::kFp32) {
       std::fprintf(stderr,
-                   "--stream requires --precision=fp32 (deltas patch fp32 "
-                   "parameters in place)\n");
+                   "--stream requires --precision=fp32 (the trainer starts "
+                   "from a v1 training checkpoint, and each delta names "
+                   "that checkpoint's model CRC)\n");
       return 2;
     }
     bundle_cfg.delta_dir = delta_dir;
@@ -186,62 +177,6 @@ int Main(int argc, char** argv) {
                  "(generate one with --train)\n",
                  ckpt_dir.c_str(), loaded.ToString().c_str());
     return 1;
-  }
-
-  // Optional sharded embedding store: either N shard servers spawned
-  // in-process (--shards, the one-command demo) or external
-  // sttr_shard_server processes (--shard_ports). Either way /recommend
-  // gathers rows over the gather protocol with deadline/retry/degradation
-  // semantics — the production topology, runnable on one machine.
-  std::vector<std::unique_ptr<serve::ShardServer>> shard_servers;
-  std::unique_ptr<serve::ShardedEmbeddingStore> store;
-  {
-    const size_t n_shards =
-        static_cast<size_t>(flags.GetInt("shards", 0));
-    const std::string shard_ports_flag = flags.GetString("shard_ports", "");
-    std::vector<int> shard_ports;
-    if (n_shards > 0 && !shard_ports_flag.empty()) {
-      std::fprintf(stderr,
-                   "--shards and --shard_ports are mutually exclusive\n");
-      return 2;
-    }
-    if (n_shards > 0 || !shard_ports_flag.empty()) {
-      const std::shared_ptr<const serve::ModelSnapshot> snapshot =
-          bundle.snapshot();
-      if (snapshot->model == nullptr) {
-        std::fprintf(stderr,
-                     "sharded embedding store requires an fp32 snapshot "
-                     "(--precision=fp32)\n");
-        return 2;
-      }
-      if (n_shards > 0) {
-        for (size_t i = 0; i < n_shards; ++i) {
-          auto server = std::make_unique<serve::ShardServer>(
-              serve::ShardServerConfig{},
-              serve::BuildShardSlice(*snapshot->model, i, n_shards));
-          STTR_CHECK_OK(server->Start());
-          shard_ports.push_back(server->port());
-          shard_servers.push_back(std::move(server));
-        }
-      } else {
-        for (const std::string& part : Split(shard_ports_flag, ',')) {
-          shard_ports.push_back(std::atoi(part.c_str()));
-        }
-      }
-      serve::ShardedStoreOptions store_opts;
-      store_opts.shard_ports = shard_ports;
-      store_opts.default_deadline =
-          std::chrono::milliseconds(flags.GetInt("store_deadline_ms", 50));
-      store_opts.stats = &stats;
-      const Tensor& users = snapshot->model->UserEmbeddingTable();
-      const Tensor& pois = snapshot->model->PoiEmbeddingTable();
-      store = std::make_unique<serve::ShardedEmbeddingStore>(
-          store_opts, users.cols(), users.rows(), pois.rows());
-      STTR_LOG(Info) << "embedding store: " << shard_ports.size()
-                     << " hash shards"
-                     << (shard_servers.empty() ? " (external)"
-                                               : " (in-process)");
-    }
   }
 
   serve::CandidateIndexConfig index_cfg;
@@ -335,11 +270,9 @@ int Main(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("io_threads", 1));
   server_cfg.default_city = ws.split.target_city;
   server_cfg.enable_cache = cache != nullptr;
-  server_cfg.store_deadline =
-      std::chrono::milliseconds(flags.GetInt("store_deadline_ms", 50));
   serve::RecommendServer server(server_cfg, ws.world.dataset, &bundle,
-                                &index, cache.get(), &stats, store.get(),
-                                ingest.get(), cold_scorer.get());
+                                &index, cache.get(), &stats, ingest.get(),
+                                cold_scorer.get());
   STTR_CHECK_OK(server.Start());
   bundle.StartWatcher();
 
@@ -357,7 +290,6 @@ int Main(int argc, char** argv) {
   // After the HTTP layer: Stop() trains the remaining partial window and
   // publishes a final delta, so nothing ingested is lost.
   if (ingest != nullptr) ingest->Stop();
-  for (const auto& shard : shard_servers) shard->Shutdown();
   return 0;
 }
 

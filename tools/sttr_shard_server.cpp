@@ -1,22 +1,21 @@
-// One embedding shard of a hash-sharded serving deployment: loads the
-// newest fp32 checkpoint, extracts the rows this shard owns (modulo
-// placement: global id g belongs to shard g % num_shards and lives at local
-// row g / num_shards), and answers length-prefixed gather requests from
-// sttr_serve's ShardedEmbeddingStore router.
+// One embedding shard of a hash-sharded embedding store: loads the newest
+// fp32 checkpoint, extracts the rows this shard owns (modulo placement:
+// global id g belongs to shard g % num_shards and lives at local row
+// g / num_shards), and answers length-prefixed gather requests from a
+// ShardedEmbeddingStore client (src/serve/sharded_store.h).
 //
-// A 4-shard deployment on one machine, against the same checkpoint dir:
+// Four shards on one machine, against the same checkpoint dir:
 //
 //   for i in 0 1 2 3; do
 //     sttr_shard_server --ckpt_dir=/tmp/sttr_ckpt --shard=$i --num_shards=4
 //       --port=$((9100+i)) &       # (one command; wrapped here for width)
 //   done
-//   sttr_serve --ckpt_dir=/tmp/sttr_ckpt --shard_ports=9100,9101,9102,9103
 //
-// The world + model flags must match sttr_serve's (both sides load the same
-// checkpoint; sharded gathers are bit-identical to in-process lookups only
-// when they slice the same tables). Kill any shard to watch the router
-// retry, trip its breaker, and serve explicitly degraded responses; restart
-// it and the half-open probe folds it back in.
+// The world + model flags must match the client's (sharded gathers are
+// bit-identical to in-process lookups only when both sides slice the same
+// tables). Kill any shard to watch the client retry and trip its breaker;
+// restart it and the half-open probe folds it back in. sttr_serve scores
+// in-process and does not use a store.
 
 #include <csignal>
 #include <cstdio>
@@ -56,7 +55,7 @@ int Main(int argc, char** argv) {
                               "[flags]",
                               "Serves one hash shard of a checkpoint's "
                               "embedding tables over the\ngather protocol "
-                              "for sttr_serve --shard_ports.")
+                              "for a ShardedEmbeddingStore client.")
                    .c_str(),
                stdout);
     return 0;

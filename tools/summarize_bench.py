@@ -34,7 +34,8 @@ def summarize_micro(path: str, data: dict) -> None:
             if key.startswith("speedup_vs_"):
                 line += f"  {value:6.2f}x vs {key[len('speedup_vs_'):]}"
         print(line)
-    # micro_quant extras: footprint shrink and quantization fidelity.
+    # micro_quant extras: the artifact's table shrink and the fidelity of
+    # the model loaded back from it (full-city ranking and the protocol).
     if "bytes" in data:
         b = data["bytes"]
         print(
@@ -56,6 +57,18 @@ def summarize_micro(path: str, data: dict) -> None:
             f"  score delta: max {f['max_abs_score_delta']:.3e}"
             f" mean {f['mean_abs_score_delta']:.3e}"
         )
+    if "protocol" in data:
+        p = data["protocol"]
+        ks = sorted(
+            int(k[len("recall"):-len("_ref")])
+            for k in p if k.startswith("recall") and k.endswith("_ref")
+        )
+        for k in ks:
+            print(
+                f"  protocol@{k}: recall {p[f'recall{k}_ref']:.4f}"
+                f" -> {p[f'recall{k}_cand']:.4f}"
+                f"  NDCG {p[f'ndcg{k}_ref']:.4f} -> {p[f'ndcg{k}_cand']:.4f}"
+            )
 
 
 def summarize_serve(path: str, data: dict) -> None:
