@@ -1,13 +1,14 @@
 // Top-K selection and evaluation-protocol throughput: the seed's
-// materialise+partial_sort selection vs the bounded heap behind
-// RecommendTopK, and the ranking protocol run sequentially vs sharded
-// across worker threads. With --out=<prefix>, emits
-// <prefix>micro_topk.json for tools/summarize_bench.py.
+// materialise+partial_sort selection vs TopKByScore's bounded heap (what
+// the protocol, RecommendTopK and the server rank with), and the ranking
+// protocol run sequentially vs sharded across worker threads. With
+// --out=<prefix>, emits <prefix>micro_topk.json for tools/summarize_bench.py.
 
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -45,25 +46,6 @@ std::vector<Entry> TopKPartialSort(const std::vector<double>& scores,
   return scored;
 }
 
-/// The bounded-heap selection RecommendTopK now uses.
-std::vector<Entry> TopKHeap(const std::vector<double>& scores, size_t k) {
-  std::vector<Entry> heap;
-  heap.reserve(std::min(k, scores.size()) + 1);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const Entry entry{static_cast<int64_t>(i), scores[i]};
-    if (heap.size() < k) {
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    } else if (RanksBefore(entry, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), RanksBefore);
-      heap.back() = entry;
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    }
-  }
-  std::sort_heap(heap.begin(), heap.end(), RanksBefore);
-  return heap;
-}
-
 template <typename Fn>
 double BestOf(size_t reps, const Fn& fn) {
   double best = 1e300;
@@ -99,13 +81,15 @@ int Main(int argc, char** argv) {
   for (const size_t n : {size_t{10000}, size_t{100000}, size_t{1000000}}) {
     std::vector<double> scores(n);
     for (double& s : scores) s = rng.Uniform();
+    std::vector<PoiId> ids(n);
+    std::iota(ids.begin(), ids.end(), PoiId{0});
     for (const size_t k : {size_t{10}, size_t{100}}) {
-      STTR_CHECK(TopKHeap(scores, k) == TopKPartialSort(scores, k))
+      STTR_CHECK(TopKByScore(ids, scores, k) == TopKPartialSort(scores, k))
           << "heap and partial_sort top-k disagree";
       const double t_sort =
           BestOf(reps, [&] { sink = TopKPartialSort(scores, k)[0].first; });
       const double t_heap =
-          BestOf(reps, [&] { sink = TopKHeap(scores, k)[0].first; });
+          BestOf(reps, [&] { sink = TopKByScore(ids, scores, k)[0].first; });
       struct Row {
         const char* name;
         double seconds;

@@ -55,15 +55,19 @@ Status Crcf::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double Crcf::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
-  const double content = TfIdfModel::Cosine(
-      user_profiles_[static_cast<size_t>(user)], tfidf_->PoiVector(poi));
-  const auto& loc = user_location_score_[static_cast<size_t>(user)];
-  const auto it = loc.find(poi);
-  // Unknown location in the new city -> uninformative 0.5.
-  const double location = it == loc.end() ? 0.5 : it->second;
-  return content_weight_ * content + (1.0 - content_weight_) * location;
+void Crcf::ScorePairsInto(std::span<const UserId> users,
+                          std::span<const PoiId> pois,
+                          std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    const double content = TfIdfModel::Cosine(
+        user_profiles_[static_cast<size_t>(user)], tfidf_->PoiVector(poi));
+    const auto& loc = user_location_score_[static_cast<size_t>(user)];
+    const auto it = loc.find(poi);
+    // Unknown location in the new city -> uninformative 0.5.
+    const double location = it == loc.end() ? 0.5 : it->second;
+    return content_weight_ * content + (1.0 - content_weight_) * location;
+  });
 }
 
 }  // namespace sttr::baselines

@@ -27,7 +27,9 @@ class Crcf : public Recommender {
   explicit Crcf(double content_weight = 0.7);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "CRCF"; }
 
  private:

@@ -177,28 +177,32 @@ double Ctlm::CommonProbability(size_t topic, CityId city) const {
   return p_common_[static_cast<size_t>(city)][topic];
 }
 
-double Ctlm::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
-  const auto& words = dataset_->poi(poi).words;
-  if (words.empty()) return 0.0;
-  const auto& theta = theta_[static_cast<size_t>(user)];
-  double score = 0;
-  for (size_t z = 0; z < num_topics_; ++z) {
-    // Rank through the *common* distributions only: user interests live in
-    // the transferable topics, while the target-specific distributions
-    // mostly hold local landmark words that carry no preference signal
-    // (this is the "transfer via common topics" mechanism of the original;
-    // blending the specific distributions back in only adds noise).
-    double mean_word = 0;
-    for (WordId w : words) {
-      mean_word += phi0_[z][static_cast<size_t>(w)];
+void Ctlm::ScorePairsInto(std::span<const UserId> users,
+                          std::span<const PoiId> pois,
+                          std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    const auto& words = dataset_->poi(poi).words;
+    if (words.empty()) return 0.0;
+    const auto& theta = theta_[static_cast<size_t>(user)];
+    double score = 0;
+    for (size_t z = 0; z < num_topics_; ++z) {
+      // Rank through the *common* distributions only: user interests live in
+      // the transferable topics, while the target-specific distributions
+      // mostly hold local landmark words that carry no preference signal
+      // (this is the "transfer via common topics" mechanism of the original;
+      // blending the specific distributions back in only adds noise).
+      double mean_word = 0;
+      for (WordId w : words) {
+        mean_word += phi0_[z][static_cast<size_t>(w)];
+      }
+      mean_word /= static_cast<double>(words.size());
+      const double mix =
+          personal_weight_ * theta[z] + (1.0 - personal_weight_) * crowd_[z];
+      score += mix * mean_word;
     }
-    mean_word /= static_cast<double>(words.size());
-    const double mix =
-        personal_weight_ * theta[z] + (1.0 - personal_weight_) * crowd_[z];
-    score += mix * mean_word;
-  }
-  return score;
+    return score;
+  });
 }
 
 }  // namespace sttr::baselines

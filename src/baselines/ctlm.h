@@ -24,7 +24,9 @@ class Ctlm : public Recommender {
        double personal_weight = 0.7, uint64_t seed = 19);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "CTLM"; }
 
   /// P(common | topic, city) after Fit(); exposed for tests (city-dependent

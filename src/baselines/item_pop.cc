@@ -12,11 +12,15 @@ Status ItemPop::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double ItemPop::Score(UserId /*user*/, PoiId poi) const {
-  STTR_CHECK(!popularity_.empty()) << "Score() before Fit()";
-  STTR_CHECK_GE(poi, 0);
-  STTR_CHECK_LT(static_cast<size_t>(poi), popularity_.size());
-  return static_cast<double>(popularity_[static_cast<size_t>(poi)]);
+void ItemPop::ScorePairsInto(std::span<const UserId> users,
+                             std::span<const PoiId> pois,
+                             std::span<double> out) const {
+  STTR_CHECK(!popularity_.empty()) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId /*user*/, PoiId poi) -> double {
+    STTR_CHECK_GE(poi, 0);
+    STTR_CHECK_LT(static_cast<size_t>(poi), popularity_.size());
+    return static_cast<double>(popularity_[static_cast<size_t>(poi)]);
+  });
 }
 
 }  // namespace sttr::baselines

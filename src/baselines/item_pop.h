@@ -13,7 +13,9 @@ namespace sttr::baselines {
 class ItemPop : public Recommender {
  public:
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "ItemPop"; }
 
  private:

@@ -135,13 +135,17 @@ Status Lce::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double Lce::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
-  const float* ur = u_.row(static_cast<size_t>(user));
-  const float* vr = v_.row(static_cast<size_t>(poi));
-  double s = 0;
-  for (size_t j = 0; j < rank_; ++j) s += static_cast<double>(ur[j]) * vr[j];
-  return s;
+void Lce::ScorePairsInto(std::span<const UserId> users,
+                         std::span<const PoiId> pois,
+                         std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    const float* ur = u_.row(static_cast<size_t>(user));
+    const float* vr = v_.row(static_cast<size_t>(poi));
+    double s = 0;
+    for (size_t j = 0; j < rank_; ++j) s += static_cast<double>(ur[j]) * vr[j];
+    return s;
+  });
 }
 
 }  // namespace sttr::baselines

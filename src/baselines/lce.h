@@ -24,7 +24,9 @@ class Lce : public Recommender {
       uint64_t seed = 11);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "LCE"; }
 
   /// Frobenius reconstruction error history (one entry per iteration).

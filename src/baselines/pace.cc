@@ -16,8 +16,10 @@ Status Pace::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return inner_.Fit(dataset, split);
 }
 
-double Pace::Score(UserId user, PoiId poi) const {
-  return inner_.Score(user, poi);
+void Pace::ScorePairsInto(std::span<const UserId> users,
+                          std::span<const PoiId> pois,
+                          std::span<double> out) const {
+  inner_.ScorePairsInto(users, pois, out);
 }
 
 }  // namespace sttr::baselines

@@ -19,7 +19,9 @@ class Pace : public Recommender {
   explicit Pace(StTransRecConfig base = {});
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "PACE"; }
 
   const StTransRec& inner() const { return inner_; }

@@ -87,14 +87,18 @@ Status PrUidt::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double PrUidt::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
+void PrUidt::ScorePairsInto(std::span<const UserId> users,
+                            std::span<const PoiId> pois,
+                            std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
   std::vector<float> q(rank_);
-  PoiFactor(poi, q.data());
-  const float* pu = users_.row(static_cast<size_t>(user));
-  double s = 0;
-  for (size_t j = 0; j < rank_; ++j) s += static_cast<double>(pu[j]) * q[j];
-  return SigmoidScalar(static_cast<float>(s));
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    PoiFactor(poi, q.data());
+    const float* pu = users_.row(static_cast<size_t>(user));
+    double s = 0;
+    for (size_t j = 0; j < rank_; ++j) s += static_cast<double>(pu[j]) * q[j];
+    return SigmoidScalar(static_cast<float>(s));
+  });
 }
 
 }  // namespace sttr::baselines

@@ -27,7 +27,9 @@ class PrUidt : public Recommender {
          float l2 = 1e-4f, size_t negatives = 4, uint64_t seed = 13);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "PR-UIDT"; }
 
  private:

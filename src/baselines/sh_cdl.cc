@@ -141,16 +141,20 @@ Status ShCdl::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double ShCdl::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
-  const float* pu = user_factors_.row(static_cast<size_t>(user));
-  const float* rv = representations_.row(static_cast<size_t>(poi));
-  double s = poi_bias_[static_cast<size_t>(poi)] +
-             spatial_prior_[static_cast<size_t>(poi)];
-  for (size_t j = 0; j < config_.representation_dim; ++j) {
-    s += static_cast<double>(pu[j]) * rv[j];
-  }
-  return SigmoidScalar(static_cast<float>(s));
+void ShCdl::ScorePairsInto(std::span<const UserId> users,
+                           std::span<const PoiId> pois,
+                           std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    const float* pu = user_factors_.row(static_cast<size_t>(user));
+    const float* rv = representations_.row(static_cast<size_t>(poi));
+    double s = poi_bias_[static_cast<size_t>(poi)] +
+               spatial_prior_[static_cast<size_t>(poi)];
+    for (size_t j = 0; j < config_.representation_dim; ++j) {
+      s += static_cast<double>(pu[j]) * rv[j];
+    }
+    return SigmoidScalar(static_cast<float>(s));
+  });
 }
 
 std::vector<float> ShCdl::PoiRepresentation(PoiId poi) const {

@@ -54,7 +54,9 @@ class ShCdl : public Recommender {
   explicit ShCdl(Config config);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "SH-CDL"; }
 
   /// Deep POI representation (row of the encoder output), after Fit().

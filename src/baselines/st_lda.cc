@@ -121,21 +121,25 @@ Status StLda::Fit(const Dataset& dataset, const CrossCitySplit& split) {
   return Status::OK();
 }
 
-double StLda::Score(UserId user, PoiId poi) const {
-  STTR_CHECK(fitted_) << "Score() before Fit()";
-  const auto& words = dataset_->poi(poi).words;
-  if (words.empty()) return 0.0;
-  const auto& theta = theta_[static_cast<size_t>(user)];
-  double score = 0;
-  for (size_t z = 0; z < num_topics_; ++z) {
-    double mean_phi = 0;
-    for (WordId w : words) mean_phi += phi_[z][static_cast<size_t>(w)];
-    mean_phi /= static_cast<double>(words.size());
-    const double mix =
-        personal_weight_ * theta[z] + (1.0 - personal_weight_) * crowd_[z];
-    score += mix * mean_phi;
-  }
-  return score;
+void StLda::ScorePairsInto(std::span<const UserId> users,
+                           std::span<const PoiId> pois,
+                           std::span<double> out) const {
+  STTR_CHECK(fitted_) << "scoring before Fit()";
+  ScoreEachPair(users, pois, out, [&](UserId user, PoiId poi) -> double {
+    const auto& words = dataset_->poi(poi).words;
+    if (words.empty()) return 0.0;
+    const auto& theta = theta_[static_cast<size_t>(user)];
+    double score = 0;
+    for (size_t z = 0; z < num_topics_; ++z) {
+      double mean_phi = 0;
+      for (WordId w : words) mean_phi += phi_[z][static_cast<size_t>(w)];
+      mean_phi /= static_cast<double>(words.size());
+      const double mix =
+          personal_weight_ * theta[z] + (1.0 - personal_weight_) * crowd_[z];
+      score += mix * mean_phi;
+    }
+    return score;
+  });
 }
 
 }  // namespace sttr::baselines

@@ -26,7 +26,9 @@ class StLda : public Recommender {
         uint64_t seed = 17);
 
   Status Fit(const Dataset& dataset, const CrossCitySplit& split) override;
-  double Score(UserId user, PoiId poi) const override;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
   std::string name() const override { return "ST-LDA"; }
 
   /// theta_u(t) after Fit(); for tests that check topic recovery.

@@ -1,45 +1,6 @@
 #include "core/recommender.h"
 
-#include <algorithm>
-
 namespace sttr {
-
-namespace {
-
-/// Ranking order: higher score first, ties broken by smaller POI id. Total
-/// order, so the top-k result is independent of candidate enumeration order.
-inline bool RanksBefore(const std::pair<PoiId, double>& a,
-                        const std::pair<PoiId, double>& b) {
-  if (a.second != b.second) return a.second > b.second;
-  return a.first < b.first;
-}
-
-}  // namespace
-
-std::vector<std::pair<PoiId, double>> TopKByScore(
-    std::span<const PoiId> pois, std::span<const double> scores, size_t k) {
-  // Bounded selection: a size-k heap under RanksBefore, whose front is the
-  // *worst* kept entry, so memory stays O(k) instead of materialising and
-  // partial_sort-ing every candidate's (poi, score) pair.
-  if (k == 0 || pois.empty()) return {};
-  std::vector<std::pair<PoiId, double>> heap;
-  heap.reserve(std::min(k, pois.size()) + 1);
-  for (size_t i = 0; i < pois.size(); ++i) {
-    const std::pair<PoiId, double> entry{pois[i], scores[i]};
-    if (heap.size() < k) {
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    } else if (RanksBefore(entry, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), RanksBefore);
-      heap.back() = entry;
-      std::push_heap(heap.begin(), heap.end(), RanksBefore);
-    }
-  }
-  // sort_heap yields ascending order under the comparator, which for
-  // RanksBefore means best first — exactly the output contract.
-  std::sort_heap(heap.begin(), heap.end(), RanksBefore);
-  return heap;
-}
 
 std::vector<std::pair<PoiId, double>> Recommender::RecommendTopK(
     const Dataset& dataset, CityId city, UserId user, size_t k,

@@ -1,7 +1,6 @@
 #ifndef STTR_CORE_RECOMMENDER_H_
 #define STTR_CORE_RECOMMENDER_H_
 
-#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -14,14 +13,6 @@
 
 namespace sttr {
 
-/// Bounded top-k selection over parallel (poi, score) arrays under the
-/// canonical ranking order: higher score first, ties broken by smaller POI
-/// id. Shared by RecommendTopK and the online serving path so both rank
-/// identically. O(k) memory; returns best first.
-std::vector<std::pair<PoiId, double>> TopKByScore(std::span<const PoiId> pois,
-                                                  std::span<const double> scores,
-                                                  size_t k);
-
 /// Common interface of ST-TransRec, its ablation variants and every
 /// baseline: fit on the crossing-city training split, then score
 /// (user, poi) pairs for the evaluation protocol.
@@ -33,7 +24,7 @@ class Recommender : public PoiScorer {
   /// Display name used in benchmark tables ("ST-TransRec", "PACE", ...).
   virtual std::string name() const = 0;
 
-  /// Top-k POIs of `city` for `user` by Score(), optionally excluding a set
+  /// Top-k POIs of `city` for `user` by score, optionally excluding a set
   /// (e.g. already-visited POIs). Returns (poi, score) pairs, best first.
   std::vector<std::pair<PoiId, double>> RecommendTopK(
       const Dataset& dataset, CityId city, UserId user, size_t k,

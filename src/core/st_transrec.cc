@@ -473,7 +473,7 @@ struct BlockBuffers {
 };
 thread_local BlockBuffers t_block;
 
-// The calling thread's staging for ScoreInto: user-run bounds, the runs'
+// The calling thread's staging for ScorePairsInto: user-run bounds, the runs'
 // user rows and their layer-0 shares, grown to the largest call so far.
 struct RunStaging {
   std::vector<size_t> starts;
@@ -522,32 +522,15 @@ void RunTower(const nn::Mlp& mlp, size_t n, const Layer0Fn& layer0,
 
 }  // namespace
 
-double StTransRec::Score(UserId user, PoiId poi) const {
-  return ScoreBatch(user, {&poi, 1})[0];
-}
-
-std::vector<double> StTransRec::ScoreBatch(UserId user,
-                                           std::span<const PoiId> pois) const {
-  std::vector<double> out(pois.size());
-  ScoreInto({&user, 1}, pois, out.data());
-  return out;
-}
-
-std::vector<double> StTransRec::ScorePairs(std::span<const UserId> users,
-                                           std::span<const PoiId> pois) const {
-  STTR_CHECK_EQ(users.size(), pois.size());
-  std::vector<double> out(pois.size());
-  ScoreInto(users, pois, out.data());
-  return out;
-}
-
-void StTransRec::ScoreInto(std::span<const UserId> users,
-                           std::span<const PoiId> pois, double* out) const {
+void StTransRec::ScorePairsInto(std::span<const UserId> users,
+                                std::span<const PoiId> pois,
+                                std::span<double> out) const {
   STTR_CHECK(fitted_) << "scoring before Fit()";
   STTR_CHECK(params_final_)
       << "scoring after the parameters moved; Fit(), Load() or ApplyDelta() "
          "must mark them final first";
   const size_t n = pois.size();
+  STTR_CHECK_EQ(out.size(), n);
   if (n == 0) return;
   STTR_CHECK(users.size() == n || users.size() == 1);
   const Tensor& user_table = user_emb_->table().value();
@@ -598,7 +581,7 @@ void StTransRec::ScoreInto(std::span<const UserId> users,
                              user_share + r * h0, act + (i - i0) * h0);
         }
       },
-      out);
+      out.data());
 }
 
 std::vector<double> StTransRec::ScoreGatheredPairs(const Tensor& h) const {

@@ -169,34 +169,27 @@ class StTransRec : public Recommender {
   Status Resume(const Dataset& dataset, const CrossCitySplit& split,
                 const std::string& dir = "");
 
-  /// Inference is defined by the factorized tower (DESIGN.md): layer 0 of
-  /// Eq. (11) on [x_u | x_v] is x_u·W0u + x_v·W0v, where the POI share
-  /// P = poi_table·W0v is precomputed (by the first score after the
-  /// parameters become final, then patched by ApplyDelta) and the user
-  /// share is computed once per run of equal users. Layer 0 is then
-  /// relu(P[v] + x_u·W0u + b0); the remaining layers run as fused GEMM +
-  /// bias + ReLU kernels in per-thread buffers. Every row is computed
-  /// independently of the rest of the batch, so all entry points below
-  /// return bit-identical values for the same (user, poi) pair, and a
-  /// warmed thread allocates only the returned vector. Scoring aborts
-  /// after ComputeGradients() until Fit()/Load()/ApplyDelta() marks the
-  /// parameters final again.
-  double Score(UserId user, PoiId poi) const override;
-
-  /// Batched inference over one user's candidates (the figure/table
-  /// benchmarks' hot path). Score() delegates here.
-  std::vector<double> ScoreBatch(UserId user,
-                                 std::span<const PoiId> pois) const override;
-
-  /// Mixed-user batched inference (the serving hot path). Each returned
-  /// value is bit-identical to Score(users[i], pois[i]).
-  std::vector<double> ScorePairs(std::span<const UserId> users,
-                                 std::span<const PoiId> pois) const override;
+  /// The one inference function (Eq. 11-12), behind Score, ScoreBatch and
+  /// ScorePairs: out[i] = sigmoid(tower(users[i], pois[i])), where `users`
+  /// holds one id per POI or a single id shared by all of them. The tower
+  /// is factorized (DESIGN.md): layer 0 on [x_u | x_v] is x_u·W0u + x_v·W0v,
+  /// where the POI share P = poi_table·W0v is precomputed (by the first
+  /// score after the parameters become final, then patched by ApplyDelta)
+  /// and the user share is computed once per run of equal users. Layer 0 is
+  /// then relu(P[v] + x_u·W0u + b0); the remaining layers run as fused
+  /// GEMM + bias + ReLU kernels in per-thread buffers. Every row is
+  /// computed independently of the rest of the batch, which is how this
+  /// model keeps PoiScorer's bit-exactness contract, and a warmed thread
+  /// allocates nothing. Scoring aborts after ComputeGradients() until
+  /// Fit()/Load()/ApplyDelta() marks the parameters final again.
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override;
 
   /// Scores pre-gathered (user, poi) embedding pairs: row i of the (n, 2d)
   /// block `h` is [user_row | poi_row]. Both layer-0 shares are computed
   /// from `h` with the kernel that builds P, so for rows copied bit-exactly
-  /// out of the tables the results are bit-identical to ScorePairs. Serving
+  /// out of the tables the results are bit-identical to ScorePairsInto. Serving
   /// never calls it; its only caller outside the tests is perfbench's
   /// traced replay of a cold request.
   std::vector<double> ScoreGatheredPairs(const Tensor& h) const;
@@ -317,12 +310,6 @@ class StTransRec : public Recommender {
 
   /// Rows [begin, end) of `p` = the same POI table rows · W0v.
   void ComputePoiLayer0Rows(size_t begin, size_t end, Tensor& p) const;
-
-  /// Writes sigmoid(tower(users[i or 0], pois[i])) into out[i]: the one
-  /// inference function behind Score/ScoreBatch/ScorePairs. `users` holds
-  /// one id per POI, or a single id shared by all of them.
-  void ScoreInto(std::span<const UserId> users, std::span<const PoiId> pois,
-                 double* out) const;
 
   /// Shared body of Fit()/Resume(): Prepare, optionally restore from
   /// `resume_dir`, then train the remaining epochs with checkpointing.

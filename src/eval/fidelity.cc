@@ -11,36 +11,6 @@
 
 namespace sttr {
 
-namespace {
-
-/// Candidate indices ranked under the canonical order (score desc, POI id
-/// asc) — the same order TopKByScore produces, restated here because eval
-/// cannot depend on core.
-std::vector<size_t> RankAll(const std::vector<PoiId>& pois,
-                            const std::vector<double>& scores) {
-  std::vector<size_t> order(pois.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (scores[a] != scores[b]) return scores[a] > scores[b];
-    return pois[a] < pois[b];
-  });
-  return order;
-}
-
-/// relevance[r] = is the POI ranked at position r a ground-truth hit, for
-/// the first `depth` positions.
-std::vector<bool> RelevanceTo(const std::vector<size_t>& order,
-                              const std::vector<PoiId>& pois,
-                              const std::unordered_set<PoiId>& truth,
-                              size_t depth) {
-  const size_t n = std::min(depth, order.size());
-  std::vector<bool> rel(n, false);
-  for (size_t r = 0; r < n; ++r) rel[r] = truth.count(pois[order[r]]) > 0;
-  return rel;
-}
-
-}  // namespace
-
 FidelityReport CompareScorers(const Dataset& dataset,
                               const CrossCitySplit& split,
                               const PoiScorer& ref, const PoiScorer& cand,
@@ -68,14 +38,12 @@ FidelityReport CompareScorers(const Dataset& dataset,
     }
     report.num_pairs_scored += ref_scores.size();
 
-    const std::vector<size_t> ref_order = RankAll(candidates, ref_scores);
-    const std::vector<size_t> cand_order = RankAll(candidates, cand_scores);
+    const auto ref_top = TopKByScore(candidates, ref_scores, max_k);
+    const auto cand_top = TopKByScore(candidates, cand_scores, max_k);
     const std::unordered_set<PoiId> truth(tu.ground_truth.begin(),
                                           tu.ground_truth.end());
-    const std::vector<bool> ref_rel =
-        RelevanceTo(ref_order, candidates, truth, max_k);
-    const std::vector<bool> cand_rel =
-        RelevanceTo(cand_order, candidates, truth, max_k);
+    const std::vector<bool> ref_rel = RelevanceOf(ref_top, truth);
+    const std::vector<bool> cand_rel = RelevanceOf(cand_top, truth);
 
     for (size_t k : config.ks) {
       FidelityAtK& at = report.at_k[k];
@@ -83,15 +51,13 @@ FidelityReport CompareScorers(const Dataset& dataset,
       at.hr_cand += HitRateAtK(cand_rel, k);
       at.ndcg_ref += NdcgAtK(ref_rel, truth.size(), k);
       at.ndcg_cand += NdcgAtK(cand_rel, truth.size(), k);
-      const size_t depth = std::min(k, ref_order.size());
-      std::unordered_set<PoiId> ref_top;
-      ref_top.reserve(depth);
-      for (size_t r = 0; r < depth; ++r) {
-        ref_top.insert(candidates[ref_order[r]]);
-      }
+      const size_t depth = std::min(k, ref_top.size());
+      std::unordered_set<PoiId> ref_set;
+      ref_set.reserve(depth);
+      for (size_t r = 0; r < depth; ++r) ref_set.insert(ref_top[r].first);
       size_t hits = 0;
       for (size_t r = 0; r < depth; ++r) {
-        if (ref_top.count(candidates[cand_order[r]]) > 0) ++hits;
+        if (ref_set.count(cand_top[r].first) > 0) ++hits;
       }
       if (depth > 0) {
         at.overlap += static_cast<double>(hits) / static_cast<double>(depth);

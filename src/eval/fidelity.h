@@ -58,9 +58,8 @@ struct FidelityReport {
 /// ranks EVERY target-city POI for each crossing-city test user under both
 /// scorers and reports HR@K / NDCG@K for each, their deltas, top-k overlap,
 /// and raw score-delta statistics, plus a run of the standard sampled-
-/// negatives protocol for both. Rankings use the canonical serving order —
-/// higher score first, ties to the smaller POI id — matching
-/// TopKByScore (core/recommender.h).
+/// negatives protocol for both. Rankings go through TopKByScore
+/// (eval/protocol.h), the order the server ranks in.
 FidelityReport CompareScorers(const Dataset& dataset,
                               const CrossCitySplit& split,
                               const PoiScorer& ref, const PoiScorer& cand,

@@ -21,7 +21,58 @@ struct UserEvalTask {
   std::unordered_set<PoiId> truth;
 };
 
+/// Ranking order: higher score first, ties broken by smaller POI id. Total
+/// order, so the top-k result is independent of candidate enumeration order.
+inline bool RanksBefore(const std::pair<PoiId, double>& a,
+                        const std::pair<PoiId, double>& b) {
+  if (a.second != b.second) return a.second > b.second;
+  return a.first < b.first;
+}
+
 }  // namespace
+
+void TopKByScoreInto(std::span<const PoiId> pois,
+                     std::span<const double> scores, size_t k,
+                     std::vector<std::pair<PoiId, double>>* out) {
+  // Bounded selection: a size-k heap under RanksBefore, whose front is the
+  // *worst* kept entry, so memory stays O(k) instead of materialising and
+  // partial_sort-ing every candidate's (poi, score) pair.
+  std::vector<std::pair<PoiId, double>>& heap = *out;
+  heap.clear();
+  if (k == 0 || pois.empty()) return;
+  heap.reserve(std::min(k, pois.size()));
+  for (size_t i = 0; i < pois.size(); ++i) {
+    const std::pair<PoiId, double> entry{pois[i], scores[i]};
+    if (heap.size() < k) {
+      heap.push_back(entry);
+      std::push_heap(heap.begin(), heap.end(), RanksBefore);
+    } else if (RanksBefore(entry, heap.front())) {
+      std::pop_heap(heap.begin(), heap.end(), RanksBefore);
+      heap.back() = entry;
+      std::push_heap(heap.begin(), heap.end(), RanksBefore);
+    }
+  }
+  // sort_heap yields ascending order under the comparator, which for
+  // RanksBefore means best first — exactly the output contract.
+  std::sort_heap(heap.begin(), heap.end(), RanksBefore);
+}
+
+std::vector<std::pair<PoiId, double>> TopKByScore(
+    std::span<const PoiId> pois, std::span<const double> scores, size_t k) {
+  std::vector<std::pair<PoiId, double>> top;
+  TopKByScoreInto(pois, scores, k, &top);
+  return top;
+}
+
+std::vector<bool> RelevanceOf(
+    const std::vector<std::pair<PoiId, double>>& ranked,
+    const std::unordered_set<PoiId>& truth) {
+  std::vector<bool> relevance(ranked.size());
+  for (size_t r = 0; r < ranked.size(); ++r) {
+    relevance[r] = truth.count(ranked[r].first) > 0;
+  }
+  return relevance;
+}
 
 const RankingMetrics& EvalResult::At(size_t k) const {
   auto it = at_k.find(k);
@@ -39,6 +90,9 @@ EvalResult EvaluateRanking(const Dataset& dataset, const CrossCitySplit& split,
   for (size_t k : config.ks) result.at_k[k] = RankingMetrics{};
 
   const auto& target_pois = dataset.PoisInCity(split.target_city);
+  // MetricsAtK reads only the first k ranks, so ranking the deepest cutoff
+  // is enough.
+  const size_t max_k = *std::max_element(config.ks.begin(), config.ks.end());
 
   // ---- Phase 1 (serial): sample each user's candidate pool. ------------------
   // Negative sampling consumes the single protocol RNG in test-user order,
@@ -83,22 +137,8 @@ EvalResult EvaluateRanking(const Dataset& dataset, const CrossCitySplit& split,
     const UserEvalTask& task = tasks[t];
     const std::vector<double> scores =
         scorer.ScoreBatch(task.user, task.candidates);
-
-    // Rank by score, breaking ties by POI id for determinism.
-    std::vector<std::pair<double, PoiId>> scored;
-    scored.reserve(task.candidates.size());
-    for (size_t i = 0; i < task.candidates.size(); ++i) {
-      scored.emplace_back(scores[i], task.candidates[i]);
-    }
-    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-
-    std::vector<bool> relevance(scored.size());
-    for (size_t i = 0; i < scored.size(); ++i) {
-      relevance[i] = task.truth.count(scored[i].second) > 0;
-    }
+    const std::vector<bool> relevance =
+        RelevanceOf(TopKByScore(task.candidates, scores, max_k), task.truth);
     for (size_t ki = 0; ki < config.ks.size(); ++ki) {
       per_user[t][ki] = MetricsAtK(relevance, task.truth.size(),
                                    config.ks[ki]);

@@ -3,55 +3,93 @@
 
 #include <map>
 #include <span>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
 #include "data/split.h"
 #include "eval/metrics.h"
+#include "util/check.h"
 
 namespace sttr {
 
 /// Scoring interface every recommender (ST-TransRec, its variants and all
 /// baselines) implements. Higher scores rank earlier.
 ///
-/// Score()/ScoreBatch() must be safe to call concurrently from multiple
-/// threads after fitting: the evaluation protocol and RecommendTopK shard
-/// candidate scoring across a thread pool.
+/// A scorer defines one function, ScorePairsInto(). Score(), ScoreBatch()
+/// and ScorePairs() are wrappers over it. Each out[i] depends only on its
+/// own (user, poi) pair, never on the rest of the batch, so every entry
+/// point returns the same bits for the same pair. Scoring must be safe to
+/// call concurrently after fitting: the evaluation protocol and the server
+/// score from several threads at once.
 class PoiScorer {
  public:
   virtual ~PoiScorer() = default;
 
+  /// Writes the score of (users[i], pois[i]) into out[i]. `users` holds one
+  /// id per POI, or a single id shared by all of them. Precondition:
+  /// out.size() == pois.size().
+  virtual void ScorePairsInto(std::span<const UserId> users,
+                              std::span<const PoiId> pois,
+                              std::span<double> out) const = 0;
+
   /// Preference score of `user` for `poi` in the target city.
-  virtual double Score(UserId user, PoiId poi) const = 0;
+  double Score(UserId user, PoiId poi) const {
+    double score = 0.0;
+    ScorePairsInto({&user, 1}, {&poi, 1}, {&score, 1});
+    return score;
+  }
 
   /// Scores one user against many candidate POIs, returned in input order.
-  /// The default loops over Score(); models with a batched inference path
-  /// (ST-TransRec runs the candidate set through its MLP tower as one
-  /// matrix product) override this with something much faster. Overrides
-  /// must return exactly the values the per-pair path would.
-  virtual std::vector<double> ScoreBatch(UserId user,
-                                         std::span<const PoiId> pois) const {
-    std::vector<double> out;
-    out.reserve(pois.size());
-    for (PoiId v : pois) out.push_back(Score(user, v));
+  std::vector<double> ScoreBatch(UserId user,
+                                 std::span<const PoiId> pois) const {
+    std::vector<double> out(pois.size());
+    ScorePairsInto({&user, 1}, pois, out);
     return out;
   }
 
-  /// Scores heterogeneous (user, poi) pairs, returned in input order. This
-  /// is the entry point the online server scores each request's candidates
-  /// through. The default loops over Score(); overrides must return exactly
-  /// the per-pair values Score() would, so batch composition is invisible
-  /// to callers. Precondition: equal span lengths.
-  virtual std::vector<double> ScorePairs(std::span<const UserId> users,
-                                         std::span<const PoiId> pois) const {
-    std::vector<double> out;
-    out.reserve(pois.size());
-    for (size_t i = 0; i < pois.size(); ++i) {
-      out.push_back(Score(users[i], pois[i]));
-    }
+  /// Scores heterogeneous (user, poi) pairs, returned in input order.
+  /// Precondition: equal span lengths.
+  std::vector<double> ScorePairs(std::span<const UserId> users,
+                                 std::span<const PoiId> pois) const {
+    STTR_CHECK_EQ(users.size(), pois.size());
+    std::vector<double> out(pois.size());
+    ScorePairsInto(users, pois, out);
     return out;
   }
 };
+
+/// ScorePairsInto() body of a scorer defined per pair:
+/// out[i] = score(user of pair i, pois[i]).
+template <typename PairScore>
+void ScoreEachPair(std::span<const UserId> users, std::span<const PoiId> pois,
+                   std::span<double> out, const PairScore& score) {
+  STTR_CHECK(users.size() == pois.size() || users.size() == 1);
+  STTR_CHECK_EQ(out.size(), pois.size());
+  for (size_t i = 0; i < pois.size(); ++i) {
+    out[i] = score(users[users.size() == 1 ? 0 : i], pois[i]);
+  }
+}
+
+/// Bounded top-k selection over parallel (poi, score) arrays under the
+/// canonical ranking order: higher score first, ties broken by smaller POI
+/// id. The one definition of that order: the protocol, the fidelity
+/// harness, RecommendTopK and the server all rank through it. Writes at
+/// most k entries, best first, into `*out`, reusing its capacity.
+void TopKByScoreInto(std::span<const PoiId> pois,
+                     std::span<const double> scores, size_t k,
+                     std::vector<std::pair<PoiId, double>>* out);
+
+/// TopKByScoreInto() into a new vector.
+std::vector<std::pair<PoiId, double>> TopKByScore(
+    std::span<const PoiId> pois, std::span<const double> scores, size_t k);
+
+/// relevance[r] = is the POI at rank r of `ranked` in `truth`: the list the
+/// metrics in eval/metrics.h read.
+std::vector<bool> RelevanceOf(
+    const std::vector<std::pair<PoiId, double>>& ranked,
+    const std::unordered_set<PoiId>& truth);
 
 /// Configuration of the paper's §4.1 ranking protocol.
 struct EvalConfig {

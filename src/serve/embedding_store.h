@@ -50,16 +50,11 @@ class EmbeddingStore {
   virtual Status Gather(EmbeddingTable table, std::span<const int64_t> ids,
                         float* out,
                         std::chrono::steady_clock::time_point deadline) = 0;
-
-  /// Backend shard count (0 for in-process) and how many of those shards
-  /// are currently tripped unhealthy.
-  virtual size_t num_shards() const { return 0; }
-  virtual size_t shards_down() const { return 0; }
 };
 
 /// Direct-access backend over a resident fp32 model: Gather memcpys rows
 /// straight out of the model's tables, so store-backed scoring is
-/// bit-identical to the historical snapshot->scorer->ScorePairs path. Holds
+/// bit-identical to the snapshot->scorer->ScorePairs path. Holds
 /// a shared_ptr keepalive, mirroring how requests pin their snapshot.
 class InProcessEmbeddingStore final : public EmbeddingStore {
  public:

@@ -510,17 +510,14 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
                     cold_start_->IsColdIn(p.user, city_id);
 
   bool cached = false;
-  const ResultCache::Value* top = nullptr;
   if (p.use_cache && !cold) {
-    if (cache_->GetInto(key, ticket, &scratch.cached)) {
+    if (cache_->GetInto(key, ticket, &scratch.top)) {
       cached = true;
-      top = &scratch.cached;
       stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
     } else {
       stats_->cache_misses.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  ResultCache::Value computed;  // cold path only: allocations expected
   if (!cached) {
     index_->CandidatesInto(city_id, loc, 0, &scratch.cand,
                            &scratch.candidates);
@@ -531,27 +528,26 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
                                          std::memory_order_relaxed);
       return;
     }
-    std::vector<double> scores;
+    // Scores and ranking live in worker scratch, so a warmed tower request
+    // allocates nothing. What still allocates: the word-bridge profiles
+    // inside ColdStartScorer::Score, and the cache's copy in Put().
+    const std::span<const PoiId> candidates(scratch.candidates);
     if (cold) {
       stats_->cold_start_requests.fetch_add(1, std::memory_order_relaxed);
       cold_start_->Score(snapshot->model->WordEmbeddingTable(), p.user,
-                         cold_start_->BucketOf(p.t),
-                         {scratch.candidates.data(),
-                          scratch.candidates.size()},
-                         &scores);
+                         cold_start_->BucketOf(p.t), candidates,
+                         &scratch.scores);
     } else {
-      scratch.users.assign(scratch.candidates.size(), p.user);
-      stats_->scored_pairs.fetch_add(scratch.candidates.size(),
+      stats_->scored_pairs.fetch_add(candidates.size(),
                                      std::memory_order_relaxed);
-      scores = snapshot->scorer->ScorePairs(
-          {scratch.users.data(), scratch.users.size()},
-          {scratch.candidates.data(), scratch.candidates.size()});
+      scratch.scores.resize(candidates.size());
+      snapshot->scorer->ScorePairsInto({&p.user, 1}, candidates,
+                                       scratch.scores);
     }
-    computed = TopKByScore(scratch.candidates, scores,
-                           static_cast<size_t>(p.k));
+    TopKByScoreInto(candidates, scratch.scores, static_cast<size_t>(p.k),
+                    &scratch.top);
     // Cold-start results stay uncached (see above).
-    if (p.use_cache && !cold) cache_->Put(key, computed, ticket);
-    top = &computed;
+    if (p.use_cache && !cold) cache_->Put(key, scratch.top, ticket);
   }
 
   // JSON assembly in the connection's arena; %.17g round-trips the scores.
@@ -578,13 +574,13 @@ void RecommendServer::ProcessRecommend(const RequestParams& p,
   b.AppendUint(snapshot->version);
   b.Append(", \"results\": [");
   char num[64];
-  for (size_t i = 0; i < top->size(); ++i) {
+  for (size_t i = 0; i < scratch.top.size(); ++i) {
     if (i > 0) b.Append(", ");
     b.Append("{\"poi\": ");
-    b.AppendInt((*top)[i].first);
+    b.AppendInt(scratch.top[i].first);
     b.Append(", \"score\": ");
     const int len =
-        std::snprintf(num, sizeof(num), "%.17g", (*top)[i].second);
+        std::snprintf(num, sizeof(num), "%.17g", scratch.top[i].second);
     b.Append(std::string_view(num, static_cast<size_t>(len)));
     b.Append('}');
   }

@@ -78,8 +78,8 @@ struct ServerConfig {
 /// scored by the tower.
 ///
 /// One request's path: snapshot capture -> cache probe (keyed by the query
-/// location's grid cell) -> candidate generation -> ScorePairs on the
-/// scoring worker -> TopKByScore -> cache fill. Keep-alive and pipelining
+/// location's grid cell) -> candidate generation -> ScorePairsInto on the
+/// scoring worker -> TopKByScoreInto -> cache fill. Keep-alive and pipelining
 /// are supported; shutdown is graceful (stop accepting, finish in-flight
 /// requests, join every thread). The response bytes are pinned by the
 /// recorded fixtures in tests/serve/golden/.
@@ -91,7 +91,9 @@ struct ServerConfig {
 /// connection's sticky buffer, validates parameters as views, and enqueues
 /// a POD task; a worker probes the cache into per-worker scratch, assembles
 /// JSON in the connection's arena, and posts a completion; the loop
-/// serializes headers into the same arena and writes. Allocation counters
+/// serializes headers into the same arena and writes. A tower-scored miss
+/// also scores and ranks in worker scratch, so it allocates only in the
+/// cache fill (none with nocache=1). Allocation counters
 /// (ServeStats::hot_allocs et al., fed by the counting operator-new hook)
 /// assert the property instead of claiming it.
 class RecommendServer {
@@ -159,8 +161,8 @@ class RecommendServer {
   struct WorkerScratch {
     CandidateIndex::Scratch cand;
     std::vector<PoiId> candidates;
-    ResultCache::Value cached;
-    std::vector<UserId> users;
+    std::vector<double> scores;
+    ResultCache::Value top;  ///< the answer: a cache hit's copy or computed
   };
 
   /// Loop-thread request router: answers errors synchronously (zero-alloc,

@@ -104,7 +104,10 @@ FrameParse ParseGatherResponse(std::string_view buffer, GatherResponse* out,
   if (out->count > kMaxGatherIds) return FrameParse::kBad;
   if (payload_len != 20 + floats * sizeof(float)) return FrameParse::kBad;
   out->rows.resize(floats);
-  std::memcpy(out->rows.data(), p + 20, floats * sizeof(float));
+  // An empty vector's data() may be null, which memcpy must not receive.
+  if (floats > 0) {
+    std::memcpy(out->rows.data(), p + 20, floats * sizeof(float));
+  }
   *consumed = kFrameHeaderBytes + payload_len;
   return FrameParse::kComplete;
 }

@@ -112,16 +112,10 @@ bool ShardedEmbeddingStore::AdmitShard(ShardState& shard, bool* is_probe) {
 }
 
 void ShardedEmbeddingStore::RecordShardSuccess(ShardState& shard) {
-  {
-    MutexLock lock(shard.mu);
-    shard.consecutive_failures = 0;
-    shard.tripped = false;
-    shard.probe_in_flight = false;
-  }
-  if (options_.stats != nullptr) {
-    options_.stats->shards_down.store(shards_down(),
-                                      std::memory_order_relaxed);
-  }
+  MutexLock lock(shard.mu);
+  shard.consecutive_failures = 0;
+  shard.tripped = false;
+  shard.probe_in_flight = false;
 }
 
 void ShardedEmbeddingStore::RecordShardFailure(ShardState& shard) {
@@ -136,8 +130,6 @@ void ShardedEmbeddingStore::RecordShardFailure(ShardState& shard) {
   }
   if (options_.stats != nullptr) {
     options_.stats->shard_errors.fetch_add(1, std::memory_order_relaxed);
-    options_.stats->shards_down.store(shards_down(),
-                                      std::memory_order_relaxed);
   }
 }
 

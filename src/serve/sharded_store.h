@@ -9,12 +9,19 @@
 
 #include "serve/embedding_store.h"
 #include "serve/shard_protocol.h"
-#include "serve/stats.h"
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/socket_fault.h"
 
 namespace sttr::serve {
+
+/// Counters a ShardedEmbeddingStore bumps when given a sink; monotonic
+/// relaxed atomics. Tripped shards are read from shards_down().
+struct ShardedStoreStats {
+  std::atomic<uint64_t> shard_gathers{0};  ///< store Gather() calls
+  std::atomic<uint64_t> shard_errors{0};   ///< failed per-shard attempts
+  std::atomic<uint64_t> shard_retries{0};  ///< re-sent per-shard sub-gathers
+};
 
 struct ShardedStoreOptions {
   /// Loopback ports of the N shard servers; shard i of ids maps to
@@ -50,9 +57,8 @@ struct ShardedStoreOptions {
 
   /// Client-side fault injection applied to this router's connect/send/recv.
   FaultInjectionSocket* fault = nullptr;
-  /// Optional shard_* counter sink (shard_gathers/errors/retries, the
-  /// shards_down gauge).
-  ServeStats* stats = nullptr;
+  /// Optional counter sink.
+  ShardedStoreStats* stats = nullptr;
 };
 
 /// Gather router over N hash shards: partitions the id batch by residue,
@@ -78,8 +84,9 @@ class ShardedEmbeddingStore final : public EmbeddingStore {
   size_t num_rows(EmbeddingTable table) const override {
     return table == EmbeddingTable::kUser ? num_users_ : num_pois_;
   }
-  size_t num_shards() const override { return options_.shard_ports.size(); }
-  size_t shards_down() const override;
+  /// Shard count, and how many shards are tripped unhealthy right now.
+  size_t num_shards() const { return options_.shard_ports.size(); }
+  size_t shards_down() const;
 
   Status Gather(EmbeddingTable table, std::span<const int64_t> ids,
                 float* out,

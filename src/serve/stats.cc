@@ -124,13 +124,6 @@ std::string ServeStats::ToJson(double uptime_seconds) const {
        << snapshot_bytes.load(std::memory_order_relaxed)
        << ", \"precision\": \"" << name << "\"}";
   }
-  os << ", \"store\": {\"gathers\": "
-     << shard_gathers.load(std::memory_order_relaxed)
-     << ", \"shard_errors\": " << shard_errors.load(std::memory_order_relaxed)
-     << ", \"shard_retries\": "
-     << shard_retries.load(std::memory_order_relaxed)
-     << ", \"shards_down\": " << shards_down.load(std::memory_order_relaxed)
-     << "}";
   {
     const LatencyHistogram::Summary apply = delta_apply_latency.Summarize();
     os << ", \"ingest\": {\"checkins_http\": "

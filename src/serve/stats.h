@@ -94,12 +94,6 @@ struct ServeStats {
   std::atomic<uint64_t> sys_epoll_waits{0};
   std::atomic<uint64_t> sys_accepts{0};
 
-  // Sharded embedding store (embedding_store.h / sharded_store.h).
-  std::atomic<uint64_t> shard_gathers{0};  ///< store Gather() calls
-  std::atomic<uint64_t> shard_errors{0};   ///< failed per-shard attempts
-  std::atomic<uint64_t> shard_retries{0};  ///< re-sent per-shard sub-gathers
-  std::atomic<uint64_t> shards_down{0};    ///< gauge: tripped shards
-
   // Streaming ingestion (src/stream/): producer-side counters live in the
   // embedded IngestStats (bumped by the ingest service), consumer-side
   // delta-apply counters below (bumped by the model bundle).

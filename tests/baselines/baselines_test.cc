@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -298,6 +301,56 @@ TEST(RegistryTest, AblationRosterConstructs) {
     auto rec = MakeRecommender(name);
     ASSERT_TRUE(rec.ok()) << name;
     EXPECT_EQ((*rec)->name(), name);
+  }
+}
+
+TEST(RegistryTest, EveryEntryPointAgreesBitForBit) {
+  // Each method defines one function, ScorePairsInto; Score, ScoreBatch and
+  // ScorePairs wrap it, and a single user id broadcasts over the POIs.
+  const auto& f = SharedFixture();
+  StTransRecConfig deep;
+  deep.embedding_dim = 16;
+  deep.hidden_dims = {32, 16};
+  deep.num_epochs = 1;
+  deep.batch_size = 64;
+  deep.mmd_batch = 16;
+  std::vector<std::string> names = ComparisonMethodNames();
+  for (const auto& name : AblationMethodNames()) {
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
+    }
+  }
+  const std::vector<PoiId>& pois =
+      f.world.dataset.PoisInCity(f.split.target_city);
+  const UserId u = f.split.test_users.front().user;
+  const std::vector<UserId> same(pois.size(), u);
+  std::vector<UserId> mixed(pois.size());
+  for (size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = f.split.test_users[i % f.split.test_users.size()].user;
+  }
+
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    auto made = MakeRecommender(name, deep);
+    ASSERT_TRUE(made.ok());
+    const Recommender& rec = **made;
+    ASSERT_TRUE((*made)->Fit(f.world.dataset, f.split).ok());
+
+    const std::vector<double> batch = rec.ScoreBatch(u, pois);
+    ASSERT_EQ(batch.size(), pois.size());
+    std::vector<double> broadcast(pois.size(), -1.0);
+    rec.ScorePairsInto({&u, 1}, pois, broadcast);
+    EXPECT_EQ(broadcast, batch);
+    EXPECT_EQ(rec.ScorePairs(same, pois), batch);
+    const std::vector<double> pairs = rec.ScorePairs(mixed, pois);
+    for (size_t i = 0; i < pois.size(); ++i) {
+      ASSERT_EQ(batch[i], rec.Score(u, pois[i])) << "poi index " << i;
+      ASSERT_EQ(pairs[i], rec.Score(mixed[i], pois[i])) << "pair " << i;
+    }
+
+    EXPECT_TRUE(rec.ScoreBatch(u, {}).empty());
+    EXPECT_TRUE(rec.ScorePairs({}, {}).empty());
+    rec.ScorePairsInto({&u, 1}, {}, {});
   }
 }
 

@@ -83,13 +83,14 @@ class ConcatOracle : public PoiScorer {
  public:
   explicit ConcatOracle(const StTransRec& model) : model_(model) {}
 
-  double Score(UserId user, PoiId poi) const override {
-    return ScorePairs({&user, 1}, {&poi, 1})[0];
-  }
-
-  std::vector<double> ScorePairs(std::span<const UserId> users,
-                                 std::span<const PoiId> pois) const override {
-    Tensor x = GatherConcat(model_, users, pois);
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    std::vector<UserId> each(pois.size());
+    for (size_t i = 0; i < each.size(); ++i) {
+      each[i] = users[users.size() == 1 ? 0 : i];
+    }
+    Tensor x = GatherConcat(model_, each, pois);
     const std::vector<ag::Variable> params = model_.Parameters();
     for (size_t p = model_.NumEmbeddingParameters(); p < params.size();
          p += 2) {
@@ -97,15 +98,7 @@ class ConcatOracle : public PoiScorer {
                           params[p + 1].value());
       if (p + 2 < params.size()) x = Relu(x);
     }
-    std::vector<double> out(pois.size());
     for (size_t i = 0; i < out.size(); ++i) out[i] = SigmoidScalar(x[i]);
-    return out;
-  }
-
-  std::vector<double> ScoreBatch(UserId user,
-                                 std::span<const PoiId> pois) const override {
-    const std::vector<UserId> users(pois.size(), user);
-    return ScorePairs(users, pois);
   }
 
  private:

@@ -38,8 +38,10 @@ class FnRecommender : public Recommender {
     return Status::OK();
   }
   std::string name() const override { return "Fn"; }
-  double Score(UserId user, PoiId poi) const override {
-    return fn_(user, poi);
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    ScoreEachPair(users, pois, out, fn_);
   }
 
  private:

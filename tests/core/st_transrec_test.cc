@@ -275,10 +275,9 @@ TEST(StTransRecTest, ScoreBatchMatchesPerPairScoreExactly) {
   for (size_t i = 0; i < candidates.size(); ++i) {
     EXPECT_EQ(batched[i], model.Score(u, candidates[i])) << "poi index " << i;
   }
-  // And against the base-class fallback loop explicitly.
-  const std::vector<double> looped =
-      model.PoiScorer::ScoreBatch(u, candidates);
-  EXPECT_EQ(batched, looped);
+  // And against the mixed-user form, the user spelled out once per pair.
+  const std::vector<UserId> users(candidates.size(), u);
+  EXPECT_EQ(batched, model.ScorePairs(users, candidates));
 }
 
 TEST(StTransRecTest, ScoreBatchHandlesDegenerateSpans) {

@@ -31,8 +31,12 @@ class OracleScorer : public PoiScorer {
       for (PoiId v : tu.ground_truth) truth_.insert({tu.user, v});
     }
   }
-  double Score(UserId user, PoiId poi) const override {
-    return truth_.count({user, poi}) ? 1.0 : 0.0;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    ScoreEachPair(users, pois, out, [this](UserId user, PoiId poi) {
+      return truth_.count({user, poi}) ? 1.0 : 0.0;
+    });
   }
 
  private:
@@ -47,12 +51,16 @@ class OracleScorer : public PoiScorer {
 /// Deterministic pseudo-random scores independent of relevance.
 class RandomScorer : public PoiScorer {
  public:
-  double Score(UserId user, PoiId poi) const override {
-    uint64_t x = static_cast<uint64_t>(user) * 2654435761u +
-                 static_cast<uint64_t>(poi) * 40503u;
-    x ^= x >> 13;
-    x *= 0x2545F4914F6CDD1DULL;
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    ScoreEachPair(users, pois, out, [](UserId user, PoiId poi) {
+      uint64_t x = static_cast<uint64_t>(user) * 2654435761u +
+                   static_cast<uint64_t>(poi) * 40503u;
+      x ^= x >> 13;
+      x *= 0x2545F4914F6CDD1DULL;
+      return static_cast<double>(x >> 11) * 0x1.0p-53;
+    });
   }
 };
 
@@ -61,8 +69,11 @@ class AntiOracleScorer : public PoiScorer {
  public:
   explicit AntiOracleScorer(const CrossCitySplit& split)
       : oracle_(split) {}
-  double Score(UserId user, PoiId poi) const override {
-    return -oracle_.Score(user, poi);
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    oracle_.ScorePairsInto(users, pois, out);
+    for (double& score : out) score = -score;
   }
 
  private:
@@ -182,11 +193,15 @@ TEST(ProtocolTest, DefaultThreadCountMatchesSerial) {
   }
 }
 
-TEST(ProtocolTest, DefaultScoreBatchMatchesScoreLoop) {
+TEST(ProtocolTest, ScoreBatchMatchesScoreLoop) {
+  // Both wrappers reach ScorePairsInto: the batch broadcasts one user, the
+  // single score is a batch of one.
   RandomScorer scorer;
   std::vector<PoiId> pois = {4, 1, 9, 1, 0, 32};
   const std::vector<double> batch = scorer.ScoreBatch(7, pois);
   ASSERT_EQ(batch.size(), pois.size());
+  const std::vector<UserId> users(pois.size(), 7);
+  EXPECT_EQ(scorer.ScorePairs(users, pois), batch);
   for (size_t i = 0; i < pois.size(); ++i) {
     EXPECT_EQ(batch[i], scorer.Score(7, pois[i])) << "index " << i;
   }

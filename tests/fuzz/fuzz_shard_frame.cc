@@ -97,9 +97,11 @@ void RunResponse(std::string_view buffer) {
   FUZZ_CHECK(back.dim == resp.dim);
   FUZZ_CHECK(back.count == resp.count);
   // Float payloads round-trip bit-exactly (raw little-endian copies), so
-  // compare representations, not values — NaNs must survive too.
+  // compare representations, not values — NaNs must survive too. Empty
+  // rows have null data(), which memcmp must not receive.
   FUZZ_CHECK(back.rows.size() == resp.rows.size());
-  FUZZ_CHECK(std::memcmp(back.rows.data(), resp.rows.data(),
+  FUZZ_CHECK(resp.rows.empty() ||
+             std::memcmp(back.rows.data(), resp.rows.data(),
                          resp.rows.size() * sizeof(float)) == 0);
   CheckPrefixesNeedMore(wire, /*request=*/false);
 }

@@ -18,7 +18,6 @@
 #include "serve/embedding_store.h"
 #include "serve/shard_server.h"
 #include "serve/sharded_store.h"
-#include "serve/stats.h"
 #include "serve_test_util.h"
 #include "util/rng.h"
 #include "util/socket_fault.h"
@@ -119,7 +118,7 @@ class ShardedStoreTest : public ::testing::Test {
   std::unique_ptr<ShardedEmbeddingStore> store_;
   FaultInjectionSocket server_fault_;
   FaultInjectionSocket client_fault_;
-  ServeStats stats_;
+  ShardedStoreStats stats_;
 };
 
 ServeFixture* ShardedStoreTest::fixture_ = nullptr;
@@ -211,7 +210,6 @@ TEST_F(ShardedStoreTest, CircuitTripsThenHealsThroughHalfOpenProbe) {
                      .ok());
   }
   EXPECT_EQ(store.shards_down(), 1u);
-  EXPECT_EQ(stats_.shards_down.load(), 1u);
 
   // While open, the shard fails fast — no connect attempt, so the gather
   // returns near-instantly even with a generous deadline.
@@ -232,7 +230,6 @@ TEST_F(ShardedStoreTest, CircuitTripsThenHealsThroughHalfOpenProbe) {
                               std::chrono::milliseconds(50));
   ExpectBitIdentical(store, EmbeddingTable::kPoi, shard0_ids);
   EXPECT_EQ(store.shards_down(), 0u);
-  EXPECT_EQ(stats_.shards_down.load(), 0u);
 }
 
 // The headline soak: concurrent gather load while shards are killed and

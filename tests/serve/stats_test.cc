@@ -90,7 +90,6 @@ TEST(ServeStatsTest, ToJsonCarriesCountersAndLatency) {
   stats.cache_hits.store(7);
   stats.cache_misses.store(35);
   stats.scored_pairs.store(3500);
-  stats.shard_retries.store(3);
   stats.model_reloads.store(2);
   stats.request_latency.Record(2'000'000);
 
@@ -99,7 +98,9 @@ TEST(ServeStatsTest, ToJsonCarriesCountersAndLatency) {
   EXPECT_NE(json.find("\"cache_hits\": 7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"model_reloads\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"scored_pairs\": 3500"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard_retries\": 3"), std::string::npos) << json;
+  // sttr_serve holds no embedding store, so /statz has no store block.
+  EXPECT_EQ(json.find("\"store\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("shard"), std::string::npos) << json;
   EXPECT_EQ(json.find("batch"), std::string::npos) << json;
   EXPECT_NE(json.find("\"qps\": 2"), std::string::npos) << json;  // 42/21
   EXPECT_NE(json.find("\"latency_ms\""), std::string::npos) << json;

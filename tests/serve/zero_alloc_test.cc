@@ -3,8 +3,9 @@
 // /recommend request performs zero heap allocations end to end — none inside
 // the worker's request processing (hot_allocs, metered by the counting
 // operator-new hook) and none on the event-loop thread (loop_allocs, metered
-// per loop iteration). Also pins the alloc/syscall counters' plumbing
-// through /statz.
+// per loop iteration). A warmed nocache=1 request, which scores and ranks
+// through the tower, allocates nothing inside the worker either. Also pins
+// the alloc/syscall counters' plumbing through /statz.
 
 #include <memory>
 #include <string>
@@ -113,6 +114,30 @@ TEST_F(ZeroAllocTest, WarmedCacheHitRequestsAllocateNothing) {
   // serialize + I/O).
   EXPECT_EQ(stats_.hot_allocs.load() - hot_allocs0, 0u);
   EXPECT_EQ(stats_.loop_allocs.load() - loop_allocs0, 0u);
+}
+
+TEST_F(ZeroAllocTest, WarmedColdRequestsAllocateNothing) {
+  // nocache=1 runs the whole miss path: candidates, the tower through
+  // ScorePairsInto and TopKByScoreInto, all into worker scratch. What this
+  // does not cover still allocates: a cache fill copies the ranking in
+  // ResultCache::Put, and a cold-start user's word-bridge score builds two
+  // profile vectors in ColdStartScorer::Score.
+  TestHttpClient client(server_->port());
+  const std::string target = Target() + "&nocache=1";
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(client.Get(target).status, 200);
+
+  const uint64_t allocs0 = stats_.recommend_allocs.load();
+  const uint64_t pairs0 = stats_.scored_pairs.load();
+  std::string first_body;
+  for (int i = 0; i < 20; ++i) {
+    const auto r = client.Get(target);
+    ASSERT_EQ(r.status, 200);
+    ASSERT_NE(r.body.find("\"cached\": false"), std::string::npos) << r.body;
+    if (i == 0) first_body = r.body;
+    ASSERT_EQ(r.body, first_body);
+  }
+  EXPECT_GT(stats_.scored_pairs.load(), pairs0);  // the tower really ran
+  EXPECT_EQ(stats_.recommend_allocs.load() - allocs0, 0u);
 }
 
 TEST_F(ZeroAllocTest, StatzExposesAllocAndSyscallCountersAndPercentiles) {

@@ -10,7 +10,16 @@ class CtlmProbe : public PoiScorer {
  public:
   CtlmProbe(const baselines::Ctlm& m, const Dataset& d, int mode)
       : m_(m), d_(d), mode_(mode) {}
-  double Score(UserId user, PoiId poi) const override {
+  void ScorePairsInto(std::span<const UserId> users,
+                      std::span<const PoiId> pois,
+                      std::span<double> out) const override {
+    ScoreEachPair(users, pois, out, [this](UserId user, PoiId poi) {
+      return ScoreOne(user, poi);
+    });
+  }
+
+ private:
+  double ScoreOne(UserId user, PoiId poi) const {
     const auto& words = d_.poi(poi).words;
     const auto& theta = m_.user_topics()[static_cast<size_t>(user)];
     const size_t K = theta.size();
@@ -37,7 +46,7 @@ class CtlmProbe : public PoiScorer {
     }
     return score;
   }
- private:
+
   const baselines::Ctlm& m_;
   const Dataset& d_;
   int mode_;
