@@ -194,8 +194,8 @@ class StTransRec : public Recommender {
   /// traced replay of a cold request.
   std::vector<double> ScoreGatheredPairs(const Tensor& h) const;
 
-  /// Row-major learned embedding tables (after Fit()/Load()): the in-process
-  /// EmbeddingStore serves views of these and the shard servers slice them.
+  /// Row-major learned embedding tables (after Fit()/Load()):
+  /// InProcessEmbeddingStore gathers rows out of these.
   const Tensor& UserEmbeddingTable() const;
   const Tensor& PoiEmbeddingTable() const;
   /// The word table is the transfer bridge (Eq. 4); cold-start serving

@@ -11,60 +11,33 @@
 
 namespace sttr::serve {
 
-/// Which embedding table a gather addresses. The wire protocol
-/// (shard_protocol.h) carries this as one byte.
+/// Which embedding table a gather addresses.
 enum class EmbeddingTable : uint8_t { kUser = 0, kPoi = 1 };
 
-/// Sparse embedding lookup split out of the scoring path — the DeepRecSys /
-/// DLRM decomposition: embedding tables too big for one node live behind
-/// this interface while the (tiny) MLP tower stays with the request.
-///
-/// Two backends:
-///   - InProcessEmbeddingStore: direct views over the snapshot's tables.
-///     Bit-identical to the pre-store direct table access by construction —
-///     the oracle every remote behaviour is tested against.
-///   - ShardedEmbeddingStore (sharded_store.h): hash-sharded gather RPCs to
-///     N shard-server processes, with deadlines, bounded retry and per-shard
-///     health tracking. Returns either exactly the oracle's bytes or a
-///     non-OK Status — never silently different rows.
-///
-/// Gather is the whole API on purpose: the narrower the seam, the easier
-/// it is to prove the remote path equivalent. The recommend server does not
-/// use a store (it scores in-process against the snapshot's tables); the
-/// benchmarks and the tests drive it as a library.
-class EmbeddingStore {
- public:
-  virtual ~EmbeddingStore() = default;
-
-  /// Embedding dimension (columns of every row this store serves).
-  virtual size_t dim() const = 0;
-
-  /// Rows in `table` across all shards.
-  virtual size_t num_rows(EmbeddingTable table) const = 0;
-
-  /// Gathers rows `ids[i]` of `table` into `out + i * dim()`, in request
-  /// order. Returns non-OK when the rows could not all be fetched by
-  /// `deadline` (remote backend: shard down or stalled, after bounded
-  /// retries) — the caller owns the degradation policy; `out` contents are
-  /// unspecified on failure. Thread-safe; never blocks past `deadline`.
-  virtual Status Gather(EmbeddingTable table, std::span<const int64_t> ids,
-                        float* out,
-                        std::chrono::steady_clock::time_point deadline) = 0;
-};
-
-/// Direct-access backend over a resident fp32 model: Gather memcpys rows
-/// straight out of the model's tables, so store-backed scoring is
-/// bit-identical to the snapshot->scorer->ScorePairs path. Holds
+/// Row gather over a resident fp32 model: Gather memcpys rows straight out
+/// of the model's tables, so scoring gathered rows with
+/// StTransRec::ScoreGatheredPairs is bit-identical to ScorePairsInto. Holds
 /// a shared_ptr keepalive, mirroring how requests pin their snapshot.
-class InProcessEmbeddingStore final : public EmbeddingStore {
+///
+/// Serving does not use it: `/recommend` scores in-process against the
+/// snapshot's tables. It remains because perfbench's traced replay times a
+/// cold request as gather -> ScoreGatheredPairs through it; it goes with
+/// ScoreGatheredPairs once that replay times the served path instead.
+class InProcessEmbeddingStore {
  public:
   explicit InProcessEmbeddingStore(std::shared_ptr<const StTransRec> model);
 
-  size_t dim() const override { return dim_; }
-  size_t num_rows(EmbeddingTable table) const override;
+  /// Embedding dimension (columns of every row).
+  size_t dim() const { return dim_; }
+
+  /// Rows in `table`.
+  size_t num_rows(EmbeddingTable table) const;
+
+  /// Gathers rows `ids[i]` of `table` into `out + i * dim()`, in request
+  /// order. Returns OutOfRange for an id outside the table; `out` contents
+  /// are then unspecified. Never blocks, so `deadline` is not consulted.
   Status Gather(EmbeddingTable table, std::span<const int64_t> ids,
-                float* out,
-                std::chrono::steady_clock::time_point deadline) override;
+                float* out, std::chrono::steady_clock::time_point deadline);
 
  private:
   std::shared_ptr<const StTransRec> model_;

@@ -236,6 +236,12 @@ void RecommendServer::Shutdown() {
   STTR_LOG(Info) << "recommend server on port " << port_ << " shut down";
 }
 
+size_t RecommendServer::num_open_connections() const {
+  size_t open = 0;
+  for (const auto& loop : loops_) open += loop->num_open();
+  return open;
+}
+
 void RecommendServer::AcceptLoop() {
   size_t next_loop = 0;
   for (;;) {

@@ -124,6 +124,10 @@ class RecommendServer {
   /// Bound port (after Start()).
   int port() const { return port_; }
 
+  /// Connections open across the event loops (approximate; for tests). 0
+  /// once every client has gone and the loops have noticed.
+  size_t num_open_connections() const;
+
   bool running() const { return running_.load(std::memory_order_acquire); }
 
  private:

@@ -13,15 +13,14 @@ namespace sttr {
 /// Socket-layer sibling of FaultInjectionEnv: decides, per wrapped socket
 /// syscall (util/socket_io.h), whether the Nth operation of a kind should
 /// fail, short-read/short-write, stall past a deadline, or behave as if the
-/// peer vanished. The sharded embedding store's soak tests drive every
-/// partial-failure mode of the gather protocol through this one seam —
-/// which is why the project linter (raw-socket) forbids raw
-/// ::connect/::send/::recv outside the wrapper: an unwrapped call would be
-/// a hole fault injection cannot reach.
+/// peer vanished. SocketFaultTest drives every mode through the wrappers —
+/// and the project linter (raw-socket) forbids raw ::connect/::send/::recv
+/// outside them, so an unwrapped call is never a hole this seam cannot
+/// reach.
 ///
-/// Thread-safe, unlike FaultInjectionEnv: the router fans out gathers from
-/// concurrent scoring workers, so arming, counting and triggering are all
-/// guarded by one mutex. Decisions are cheap (no IO under the lock).
+/// Thread-safe, unlike FaultInjectionEnv: arming, counting and triggering
+/// are all guarded by one mutex, so one injector may serve sockets on
+/// several threads. Decisions are cheap (no IO under the lock).
 class FaultInjectionSocket {
  public:
   enum class Op { kConnect = 0, kSend, kRecv, kPoll };
@@ -49,7 +48,7 @@ class FaultInjectionSocket {
   void FailNth(Op op, size_t n, Mode mode = Mode::kFail) EXCLUDES(mu_);
 
   /// Every operation of kind `op` misbehaves as `mode` until Clear/Reset —
-  /// a shard that is down (kFail/kEof) or wedged (kStall).
+  /// a peer that is down (kFail/kEof) or wedged (kStall).
   void FailAlways(Op op, Mode mode) EXCLUDES(mu_);
 
   /// Disarms kind `op` (both one-shot and always), keeping counters.

@@ -11,13 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "core/delta.h"
-#include "serve/embedding_store.h"
-#include "serve/shard_protocol.h"
 
 namespace {
 
@@ -51,34 +47,6 @@ int main(int argc, char** argv) {
             "GET /stats HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n");
   WriteSeed(root / "http", "torn_head.txt",
             "GET /recommend?user=1 HTTP/1.1\r\nHos");
-
-  // Gather frames, straight from the encoders.
-  {
-    sttr::serve::GatherRequest req;
-    req.request_id = 7;
-    req.table = sttr::serve::EmbeddingTable::kPoi;
-    req.deadline_ms = 250;
-    req.ids = {0, 1, 5, 1024, 99991};
-    std::string wire;
-    sttr::serve::AppendGatherRequest(req, &wire);
-    WriteSeed(root / "shard", "gather_request.bin", wire);
-    WriteSeed(root / "shard", "gather_request_torn.bin",
-              wire.substr(0, wire.size() / 2));
-  }
-  {
-    const std::vector<float> rows = {0.5f, -1.25f, 3.0f, 0.0f,
-                                     1.0f, 2.0f,   -2.5f, 0.125f};
-    std::string wire;
-    sttr::serve::AppendGatherResponse(11, sttr::serve::GatherStatus::kOk,
-                                      /*dim=*/4,
-                                      std::span<const float>(rows), &wire);
-    WriteSeed(root / "shard", "gather_response.bin", wire);
-    std::string degraded;
-    sttr::serve::AppendGatherResponse(
-        12, sttr::serve::GatherStatus::kShuttingDown, /*dim=*/0,
-        std::span<const float>(), &degraded);
-    WriteSeed(root / "shard", "gather_response_empty.bin", degraded);
-  }
 
   // Delta checkpoint containers.
   {

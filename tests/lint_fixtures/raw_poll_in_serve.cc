@@ -1,9 +1,9 @@
 // lint-fixture-as: src/serve/raw_poll_in_serve.cc
 // expect-violation: raw-socket
 //
-// ::poll and ::accept4 joined the raw-socket rule when the router's fan-out
-// loop was found to wait on shard sockets outside the fault-injection seam
-// (a stalled shard could never be simulated). The legal spellings below
+// ::poll and ::accept4 are in the raw-socket rule so a polling client
+// cannot wait on sockets outside the fault-injection seam (a stalled peer
+// could never be simulated). The legal spellings below
 // must NOT fire: the net::Poll wrapper, ::epoll_wait (the event loop's own
 // mechanism, faulted at a different layer), plain ::accept (the listener
 // path is exercised by killing real connections), and an identifier that

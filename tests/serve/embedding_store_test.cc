@@ -1,52 +1,39 @@
-// EmbeddingStore oracle properties: the in-process backend must hand back
-// the snapshot's embedding rows byte-for-byte, scoring through gathered
-// rows must equal the direct ScoreBatch path exactly, and BuildShardSlice
-// must partition the tables so that reassembling shard rows reproduces the
-// original bytes — the foundation the sharded backend's bit-identity
-// guarantee is proven against.
+// InProcessEmbeddingStore properties: it must hand back the snapshot's
+// embedding rows byte-for-byte, and scoring through gathered rows must
+// equal the direct ScoreBatch path exactly — what perfbench's traced
+// replay of a cold request relies on.
 
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "serve/embedding_store.h"
-#include "serve/shard_server.h"
 #include "serve_test_util.h"
 #include "tensor/tensor.h"
 
 namespace sttr::serve {
 namespace {
 
-class EmbeddingStoreTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    fixture_ = new ServeFixture(MakeServeFixture());
-    model_ = new std::shared_ptr<StTransRec>(TrainSmallModel(*fixture_));
-  }
-  static void TearDownTestSuite() {
-    delete model_;
-    delete fixture_;
-    model_ = nullptr;
-    fixture_ = nullptr;
-  }
+/// The suite's small trained model, trained on first use and kept for the
+/// life of the process (with the world it was trained on).
+const std::shared_ptr<StTransRec>& Model() {
+  static const ServeFixture* fixture = new ServeFixture(MakeServeFixture());
+  static const auto* model =
+      new std::shared_ptr<StTransRec>(TrainSmallModel(*fixture));
+  return *model;
+}
 
-  static std::chrono::steady_clock::time_point Deadline() {
-    return std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  }
+std::chrono::steady_clock::time_point Deadline() {
+  return std::chrono::steady_clock::now() + std::chrono::seconds(5);
+}
 
-  static ServeFixture* fixture_;
-  static std::shared_ptr<StTransRec>* model_;
-};
-
-ServeFixture* EmbeddingStoreTest::fixture_ = nullptr;
-std::shared_ptr<StTransRec>* EmbeddingStoreTest::model_ = nullptr;
-
-TEST_F(EmbeddingStoreTest, InProcessGatherIsBitIdenticalToTables) {
-  InProcessEmbeddingStore store(*model_);
-  const Tensor& users = (*model_)->UserEmbeddingTable();
-  const Tensor& pois = (*model_)->PoiEmbeddingTable();
+TEST(EmbeddingStoreTest, InProcessGatherIsBitIdenticalToTables) {
+  InProcessEmbeddingStore store(Model());
+  const Tensor& users = Model()->UserEmbeddingTable();
+  const Tensor& pois = Model()->PoiEmbeddingTable();
   ASSERT_EQ(store.dim(), users.cols());
   ASSERT_EQ(store.num_rows(EmbeddingTable::kUser), users.rows());
   ASSERT_EQ(store.num_rows(EmbeddingTable::kPoi), pois.rows());
@@ -66,8 +53,8 @@ TEST_F(EmbeddingStoreTest, InProcessGatherIsBitIdenticalToTables) {
   }
 }
 
-TEST_F(EmbeddingStoreTest, OutOfRangeIdsAreRejected) {
-  InProcessEmbeddingStore store(*model_);
+TEST(EmbeddingStoreTest, OutOfRangeIdsAreRejected) {
+  InProcessEmbeddingStore store(Model());
   std::vector<float> out(2 * store.dim());
   const auto deadline = Deadline();
   const std::vector<int64_t> past_end = {
@@ -83,10 +70,10 @@ TEST_F(EmbeddingStoreTest, OutOfRangeIdsAreRejected) {
 
 // The serving decomposition: gather [user | poi] rows through the store,
 // score the assembled matrix with ScoreGatheredPairs. Must equal the
-// resident ScoreBatch path double-for-double — the equivalence any
-// store-backed scorer (and perfbench's traced replay) relies on.
-TEST_F(EmbeddingStoreTest, ScoreViaGatherEqualsScoreBatch) {
-  InProcessEmbeddingStore store(*model_);
+// resident ScoreBatch path double-for-double — the equivalence
+// perfbench's traced replay relies on.
+TEST(EmbeddingStoreTest, ScoreViaGatherEqualsScoreBatch) {
+  InProcessEmbeddingStore store(Model());
   const size_t d = store.dim();
   const UserId user = 3;
   std::vector<PoiId> candidates;
@@ -114,54 +101,12 @@ TEST_F(EmbeddingStoreTest, ScoreViaGatherEqualsScoreBatch) {
     std::memcpy(dst + d, poi_rows.data() + i * d, d * sizeof(float));
   }
 
-  const std::vector<double> via_store = (*model_)->ScoreGatheredPairs(h);
-  const std::vector<double> direct = (*model_)->ScoreBatch(
+  const std::vector<double> via_store = Model()->ScoreGatheredPairs(h);
+  const std::vector<double> direct = Model()->ScoreBatch(
       user, {candidates.data(), candidates.size()});
   ASSERT_EQ(via_store.size(), direct.size());
   for (size_t i = 0; i < direct.size(); ++i) {
     EXPECT_EQ(via_store[i], direct[i]) << "candidate " << i;
-  }
-}
-
-// Slices must partition each table: every global row in exactly one slice,
-// at its quotient index, byte-identical to the source table.
-TEST_F(EmbeddingStoreTest, BuildShardSlicePartitionsTheTables) {
-  const Tensor& users = (*model_)->UserEmbeddingTable();
-  const Tensor& pois = (*model_)->PoiEmbeddingTable();
-  for (size_t num_shards : {1u, 2u, 3u}) {
-    std::vector<ShardSlice> slices;
-    slices.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      slices.push_back(BuildShardSlice(**model_, s, num_shards));
-      EXPECT_EQ(slices.back().dim, users.cols());
-      EXPECT_EQ(slices.back().total_users, users.rows());
-      EXPECT_EQ(slices.back().total_pois, pois.rows());
-      EXPECT_EQ(slices.back().user_rows.size(),
-                ShardRowCount(users.rows(), s, num_shards) * users.cols());
-      EXPECT_EQ(slices.back().poi_rows.size(),
-                ShardRowCount(pois.rows(), s, num_shards) * pois.cols());
-    }
-    const size_t d = users.cols();
-    for (size_t g = 0; g < pois.rows(); ++g) {
-      const ShardSlice& slice =
-          slices[ShardOfId(static_cast<int64_t>(g), num_shards)];
-      const size_t local =
-          ShardLocalIndex(static_cast<int64_t>(g), num_shards);
-      ASSERT_EQ(std::memcmp(slice.poi_rows.data() + local * d, pois.row(g),
-                            d * sizeof(float)),
-                0)
-          << "poi row " << g << " across " << num_shards << " shards";
-    }
-    for (size_t g = 0; g < users.rows(); ++g) {
-      const ShardSlice& slice =
-          slices[ShardOfId(static_cast<int64_t>(g), num_shards)];
-      const size_t local =
-          ShardLocalIndex(static_cast<int64_t>(g), num_shards);
-      ASSERT_EQ(std::memcmp(slice.user_rows.data() + local * d, users.row(g),
-                            d * sizeof(float)),
-                0)
-          << "user row " << g << " across " << num_shards << " shards";
-    }
   }
 }
 

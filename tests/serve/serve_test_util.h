@@ -1,9 +1,12 @@
 #ifndef STTR_TESTS_SERVE_SERVE_TEST_UTIL_H_
 #define STTR_TESTS_SERVE_SERVE_TEST_UTIL_H_
 
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "data/split.h"
 #include "data/synth/world_generator.h"
 #include "scratch_dir.h"
+#include "util/check.h"
 
 namespace sttr::serve {
 
@@ -43,6 +47,24 @@ inline StTransRecConfig SmallServingModelConfig() {
   cfg.mmd_batch = 8;
   cfg.num_train_workers = 1;
   return cfg;
+}
+
+/// Parses the "results" array of a /recommend response.
+inline std::vector<std::pair<PoiId, double>> ParseResults(const std::string& body) {
+  std::vector<std::pair<PoiId, double>> out;
+  size_t pos = body.find("\"results\"");
+  STTR_CHECK_NE(pos, std::string::npos) << body;
+  while ((pos = body.find("{\"poi\": ", pos)) != std::string::npos) {
+    long long poi = 0;
+    double score = 0;
+    STTR_CHECK_EQ(std::sscanf(body.c_str() + pos, "{\"poi\": %lld, \"score\": %lf",
+                              &poi, &score),
+                  2)
+        << body.substr(pos, 60);
+    out.emplace_back(static_cast<PoiId>(poi), score);
+    ++pos;
+  }
+  return out;
 }
 
 /// Trains a model, writing checkpoints into `ckpt_dir` when non-empty.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -38,24 +37,6 @@
 
 namespace sttr::serve {
 namespace {
-
-/// Parses the "results" array of a /recommend response.
-std::vector<std::pair<PoiId, double>> ParseResults(const std::string& body) {
-  std::vector<std::pair<PoiId, double>> out;
-  size_t pos = body.find("\"results\"");
-  STTR_CHECK_NE(pos, std::string::npos) << body;
-  while ((pos = body.find("{\"poi\": ", pos)) != std::string::npos) {
-    long long poi = 0;
-    double score = 0;
-    STTR_CHECK_EQ(std::sscanf(body.c_str() + pos, "{\"poi\": %lld, \"score\": %lf",
-                              &poi, &score),
-                  2)
-        << body.substr(pos, 60);
-    out.emplace_back(static_cast<PoiId>(poi), score);
-    ++pos;
-  }
-  return out;
-}
 
 /// The full serving stack on an ephemeral loopback port.
 class ServerTest : public ::testing::Test {

@@ -1,8 +1,7 @@
-// FaultInjectionSocket + sttr::net wrapper semantics: the seam every chaos
-// suite drives. One-shot and always-on faults must fire exactly where
-// armed, and each Mode must surface through Send/Recv/Connect as the
-// documented errno/short-count/EOF behaviour — the router's transient-error
-// classification is built on these exact contracts.
+// FaultInjectionSocket + sttr::net wrapper semantics. One-shot and
+// always-on faults must fire exactly where armed, and each Mode must
+// surface through Send/Recv/Connect as the documented errno/short-count/EOF
+// behaviour — the contract a caller's transient-error handling is built on.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -74,7 +73,7 @@ TEST(SocketFaultTest, FailAlwaysUntilCleared) {
 
 TEST(SocketFaultTest, PassthroughWithoutInjector) {
   SocketPair pair;
-  const std::string msg = "hello shard";
+  const std::string msg = "hello peer";
   ASSERT_EQ(net::Send(pair.a, msg.data(), msg.size(), 0),
             static_cast<ssize_t>(msg.size()));
   char buf[64] = {};
@@ -138,9 +137,8 @@ TEST(SocketFaultTest, StallSleepsThenEagain) {
             std::chrono::milliseconds(25));
 }
 
-// The router fans gathers out from concurrent scoring workers, so the
-// injector must count and trigger correctly under contention (this is also
-// what earns it a slot in the TSan suite).
+// One injector may serve sockets on several threads, so it must count and
+// trigger correctly under contention.
 TEST(SocketFaultTest, ConcurrentApplyCountsEveryOperation) {
   FaultInjectionSocket fault;
   fault.FailAlways(Op::kSend, Mode::kFail);

@@ -65,16 +65,15 @@ if [[ ! -f "${build_dir}/CMakeCache.txt" ]]; then
 fi
 
 cmake --build "${build_dir}" -j "$(nproc)" \
-  --target fuzz_http_parser fuzz_shard_frame fuzz_checkpoint_reader
+  --target fuzz_http_parser fuzz_checkpoint_reader
 
 declare -A corpus=(
   [fuzz_http_parser]=http
-  [fuzz_shard_frame]=shard
   [fuzz_checkpoint_reader]=ckpt
 )
 
 failed=0
-for harness in fuzz_http_parser fuzz_shard_frame fuzz_checkpoint_reader; do
+for harness in fuzz_http_parser fuzz_checkpoint_reader; do
   seed_dir="${repo_root}/tests/fuzz/corpus/${corpus[${harness}]}"
   work_dir="${build_dir}/corpus-${harness}"
   mkdir -p "${work_dir}"

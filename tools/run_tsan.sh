@@ -4,15 +4,15 @@
 # and runs the concurrency-heavy tier-1 tests (thread pool, parallel trainer,
 # sparse all-reduce, and the serving subsystem: result cache, checkpoint
 # hot-reload under concurrent scoring, HTTP server, epoll event loop, the
-# golden HTTP-contract replay, and the sharded embedding
-# store: router fan-out with retries and circuit breakers, shard servers
-# being killed and restarted under concurrent load, reloads racing
-# injected checkpoint-read faults, and the streaming ingestion subsystem:
-# the bounded event log under concurrent producers, row-level result-cache
-# invalidation racing lookups, and the /checkin ingest path on the live
-# server). zero_alloc_test is deliberately absent:
-# TSan's interceptors allocate on the hot path, so its zero-allocation
-# assertions only hold in uninstrumented builds.
+# golden HTTP-contract replay, the serving core under misbehaving clients
+# (hang-ups mid-head, resets while a request is scored or mid-response),
+# reloads racing injected checkpoint-read faults, and the streaming
+# ingestion subsystem: the bounded event log under concurrent producers,
+# row-level result-cache invalidation racing lookups, and the /checkin
+# ingest path on the live server). zero_alloc_test is left out: its
+# zero-allocation assertions were found not to hold under TSan's
+# interceptors. (serve_chaos_test's warmed-hit window asserts the same
+# counters and passes under GCC 12's TSan runtime.)
 # Usage: tools/run_tsan.sh [build-dir] (default: build-tsan).
 set -euo pipefail
 
@@ -37,12 +37,12 @@ cmake --build "${build_dir}" -j \
            checkpoint_race_test result_cache_test \
            model_bundle_test server_test shutdown_race_test \
            event_loop_test golden_test precision_reload_test \
-           sharded_store_test reload_fault_test \
+           serve_chaos_test reload_fault_test \
            event_log_test ingest_service_test ingest_server_test \
            stream_e2e_test
 
 # TSan findings abort the run; halt_on_error keeps the first report readable.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ShardedStore|ShardChaos|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
+  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ServeChaos|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
 echo "TSan run clean."

@@ -27,10 +27,10 @@ The invariants, each load-bearing for the reproduction's contract
                       may appear only inside src/util/socket_io.*
                       (sttr::net::{Connect,Send,Recv,Poll}). A raw call
                       anywhere else bypasses the fault-injection seam the
-                      chaos suites rely on, so the fault paths it takes are
-                      exactly the ones that never get tested. (::poll was
-                      added when the router's fan-out loop was found to
-                      escape the seam; ::accept4 preemptively with it.)
+                      fault tests rely on, so the fault paths it takes are
+                      exactly the ones that never get tested. (::poll and
+                      ::accept4 are covered too, so a polling client or a
+                      new accept path cannot escape the seam either.)
   test-scratch-path   Test code under tests/ never names a fixed scratch
                       path: no "/tmp/..." string literal, and no TempDir()
                       call in a file that does not include
