@@ -222,20 +222,24 @@ StatusOr<size_t> ParseCheckpointEpoch(const std::string& filename) {
 }
 
 StatusOr<std::string> FindLatestValidCheckpoint(Env& env,
-                                                const std::string& dir) {
+                                                const std::string& dir,
+                                                std::string_view verified,
+                                                size_t min_epoch) {
   StatusOr<std::vector<std::string>> names = env.ListDir(dir);
   if (!names.ok()) return names.status();
   std::vector<std::pair<size_t, std::string>> found;
   for (const std::string& name : *names) {
     StatusOr<size_t> epoch = ParseCheckpointEpoch(name);
-    if (epoch.ok()) found.emplace_back(*epoch, name);
+    if (epoch.ok() && *epoch >= min_epoch) found.emplace_back(*epoch, name);
   }
   std::sort(found.begin(), found.end());
   // Newest first; a torn or bit-rotted newer file falls back to the previous
   // complete one instead of failing the resume outright.
   for (auto it = found.rbegin(); it != found.rend(); ++it) {
     const std::string path = dir + "/" + it->second;
-    if (CheckpointReader::Open(env, path).ok()) return path;
+    if (path == verified || CheckpointReader::Open(env, path).ok()) {
+      return path;
+    }
   }
   return Status::NotFound("no valid checkpoint in " + dir);
 }

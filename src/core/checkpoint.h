@@ -124,8 +124,19 @@ StatusOr<size_t> ParseCheckpointEpoch(const std::string& filename);
 /// checksum. Corrupt or torn files are skipped (newest-first), so after a
 /// crash this finds the last durable state. NotFound when the directory
 /// holds no valid checkpoint.
+///
+/// A poller passes what it already holds, so that a poll with nothing new
+/// opens no file. `verified` names a file the caller read and checked
+/// earlier (the one it serves): reaching it ends the scan, and it is
+/// returned without being opened again. Files with an epoch below
+/// `min_epoch` are not considered. Every newer file is still fully
+/// verified. The price is that a served file corrupted in place on disk
+/// goes unnoticed: the scan does not fall back past it to an older
+/// checkpoint, so the caller keeps what it loaded instead of rolling back.
 StatusOr<std::string> FindLatestValidCheckpoint(Env& env,
-                                                const std::string& dir);
+                                                const std::string& dir,
+                                                std::string_view verified = {},
+                                                size_t min_epoch = 0);
 
 /// Deletes all but the `keep` newest checkpoints (by epoch) plus any
 /// leftover temp files. keep == 0 is rejected.

@@ -152,7 +152,8 @@ StatusOr<uint64_t> ParseDeltaSeq(const std::string& filename) {
   return static_cast<uint64_t>(seq);
 }
 
-StatusOr<std::string> FindLatestValidDelta(Env& env, const std::string& dir) {
+StatusOr<std::string> FindLatestValidDelta(Env& env, const std::string& dir,
+                                           std::string_view applied) {
   StatusOr<std::vector<std::string>> names = env.ListDir(dir);
   if (!names.ok()) return names.status();
   std::vector<std::pair<uint64_t, std::string>> found;
@@ -166,6 +167,7 @@ StatusOr<std::string> FindLatestValidDelta(Env& env, const std::string& dir) {
   // fresh) patch against the same base.
   for (auto it = found.rbegin(); it != found.rend(); ++it) {
     const std::string path = dir + "/" + it->second;
+    if (path == applied) return path;
     StatusOr<CheckpointReader> reader = CheckpointReader::Open(env, path);
     if (reader.ok() && ParseDeltaCheckpoint(*reader).ok()) return path;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -94,8 +95,11 @@ StatusOr<uint64_t> ParseDeltaSeq(const std::string& filename);
 
 /// Full path of the newest delta in `dir` that parses and passes every
 /// checksum, newest-first with torn files skipped — the same crash-safety
-/// contract as FindLatestValidCheckpoint.
-StatusOr<std::string> FindLatestValidDelta(Env& env, const std::string& dir);
+/// contract as FindLatestValidCheckpoint. `applied` names a delta the
+/// caller already read and applied: reaching it ends the scan, and it is
+/// returned without being opened again.
+StatusOr<std::string> FindLatestValidDelta(Env& env, const std::string& dir,
+                                           std::string_view applied = {});
 
 /// Deletes all but the `keep` newest deltas plus leftover temp files. Safe
 /// because deltas are cumulative: the newest one alone reproduces the full

@@ -25,6 +25,9 @@ namespace sttr {
 
 namespace {
 
+/// Seeds the eval-path dropout stream apart from the training stream.
+constexpr uint64_t kEvalRngSalt = 0xE5A1u;
+
 bool SortedContains(const std::vector<int64_t>& v, int64_t x) {
   return std::binary_search(v.begin(), v.end(), x);
 }
@@ -46,7 +49,7 @@ size_t DefaultTrainWorkers() {
 StTransRec::StTransRec(StTransRecConfig config)
     : config_(std::move(config)),
       rng_(config_.seed),
-      eval_rng_(config_.seed ^ 0xE5A1u) {
+      eval_rng_(config_.seed ^ kEvalRngSalt) {
   STTR_CHECK_GT(config_.embedding_dim, 0u);
   STTR_CHECK_GT(config_.batch_size, 0u);
   STTR_CHECK_GE(config_.resample_alpha, 0.0);
@@ -62,6 +65,12 @@ std::string StTransRec::name() const {
 
 Status StTransRec::Prepare(const Dataset& dataset,
                            const CrossCitySplit& split) {
+  // Regions, resampling pools and initial parameters are a function of the
+  // config and dataset alone, also for a model prepared before (Resume()
+  // after Load()): a restored checkpoint then continues the very run that
+  // wrote it.
+  rng_ = Rng(config_.seed);
+  eval_rng_ = Rng(config_.seed ^ kEvalRngSalt);
   dataset_ = &dataset;
   target_city_ = split.target_city;
   if (split.train.empty()) {
@@ -145,7 +154,7 @@ Status StTransRec::Prepare(const Dataset& dataset,
                                               rng_, init);
   mlp_ = std::make_unique<nn::Mlp>(2 * d, config_.hidden_dims,
                                    config_.dropout_rate, rng_);
-  optimizer_ = std::make_unique<nn::Adam>(Parameters(), config_.learning_rate);
+  optimizer_.reset();
   loss_history_.clear();
   fitted_ = false;
   params_final_ = false;
@@ -380,7 +389,15 @@ StepLosses StTransRec::ComputeGradients(const TrainingBatch& batch, Rng& rng) {
   return losses;
 }
 
-void StTransRec::OptimizerStep() { optimizer_->Step(); }
+void StTransRec::OptimizerStep() { Optimizer().Step(); }
+
+nn::Adam& StTransRec::Optimizer() {
+  if (optimizer_ == nullptr) {
+    optimizer_ =
+        std::make_unique<nn::Adam>(Parameters(), config_.learning_rate);
+  }
+  return *optimizer_;
+}
 
 std::vector<ag::Variable> StTransRec::Parameters() const {
   STTR_CHECK(user_emb_ != nullptr) << "Prepare() not called";
@@ -818,8 +835,7 @@ bool ReadRngState(std::string_view& in, Rng* rng) {
 
 }  // namespace
 
-Status StTransRec::WriteCheckpoint(
-    const std::vector<Rng>* worker_rngs) const {
+Status StTransRec::WriteCheckpoint(const std::vector<Rng>* worker_rngs) {
   if (user_emb_ == nullptr) {
     return Status::FailedPrecondition("WriteCheckpoint() before Prepare()");
   }
@@ -841,7 +857,7 @@ Status StTransRec::WriteCheckpoint(
   }
   {
     std::ostringstream os(std::ios::binary);
-    STTR_RETURN_IF_ERROR(optimizer_->SaveState(os));
+    STTR_RETURN_IF_ERROR(Optimizer().SaveState(os));
     writer.AddSection(kSectionOptimizer, std::move(os).str());
   }
   {
@@ -870,7 +886,7 @@ Status StTransRec::WriteCheckpoint(
 }
 
 Status StTransRec::MaybeWriteCheckpoint(
-    const std::vector<Rng>* worker_rngs) const {
+    const std::vector<Rng>* worker_rngs) {
   if (config_.checkpoint_dir.empty()) return Status::OK();
   const size_t completed = loss_history_.size();
   const size_t every = std::max<size_t>(1, config_.checkpoint_every_n_epochs);
@@ -916,7 +932,7 @@ Status StTransRec::RestoreFromCheckpoint(const std::string& path,
   if (!opt.ok()) return opt.status();
   {
     std::istringstream in(*opt, std::ios::binary);
-    STTR_RETURN_IF_ERROR(optimizer_->LoadState(in));
+    STTR_RETURN_IF_ERROR(Optimizer().LoadState(in));
   }
 
   StatusOr<std::string> rngs = reader->Section(kSectionRng);

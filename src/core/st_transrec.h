@@ -288,8 +288,10 @@ class StTransRec : public Recommender {
   /// Writes a full training checkpoint for the current state (epoch counter
   /// is loss_history().size()). `worker_rngs` carries the data-parallel
   /// trainer's per-worker streams; null in the serial path. Exposed for
-  /// ParallelTrainer and tests; Fit() calls this at epoch boundaries.
-  Status WriteCheckpoint(const std::vector<Rng>* worker_rngs = nullptr) const;
+  /// ParallelTrainer and tests; Fit() calls this at epoch boundaries. A
+  /// model that never stepped writes a fresh optimizer's state (creating
+  /// the optimizer, see optimizer_).
+  Status WriteCheckpoint(const std::vector<Rng>* worker_rngs = nullptr);
 
   /// Restores the checkpoint at `path` into this Prepare()d model:
   /// parameters, optimizer state, loss history and RNG streams.
@@ -318,7 +320,10 @@ class StTransRec : public Recommender {
 
   /// Checkpoints when checkpoint_dir is set and the epoch boundary matches
   /// checkpoint_every_n_epochs (or training just finished).
-  Status MaybeWriteCheckpoint(const std::vector<Rng>* worker_rngs) const;
+  Status MaybeWriteCheckpoint(const std::vector<Rng>* worker_rngs);
+
+  /// The optimizer, created over Parameters() on first use.
+  nn::Adam& Optimizer();
 
   /// config.env or the process default.
   Env& env() const;
@@ -336,6 +341,9 @@ class StTransRec : public Recommender {
   std::unique_ptr<nn::Embedding> poi_emb_;
   std::unique_ptr<nn::Embedding> word_emb_;
   std::unique_ptr<nn::Mlp> mlp_;
+  /// Created by the first OptimizerStep(), checkpoint write or restore, and
+  /// dropped by Prepare(): a model that is only Load()ed for serving never
+  /// allocates its Adam moments (two copies of every parameter).
   std::unique_ptr<nn::Adam> optimizer_;
 
   /// False from ComputeGradients() until the parameters are final again.

@@ -221,7 +221,11 @@ void EventLoop::Run() {
           (ev.events & (EPOLLIN | EPOLLOUT)) == 0) {
         // Pure hangup/error with nothing readable or writable left.
         if (conn->state == Conn::State::kProcessing) {
+          // Level-triggered epoll reports a hang-up whatever the interest
+          // mask, so the fd leaves the set until the completion closes it;
+          // left in, it would wake every epoll_wait until then.
           conn->defer_close = true;
+          ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
         } else {
           CloseConn(*conn);
         }
@@ -420,8 +424,9 @@ void EventLoop::FlushOut(Conn& conn) {
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if ((errno == EAGAIN || errno == EWOULDBLOCK) && !conn.defer_close) {
         // Slow client: park the rest on write readiness, never block here.
+        // (A hung-up one has left the epoll set; it is closed below.)
         conn.state = Conn::State::kWriting;
         UpdateInterest(conn);
         return;

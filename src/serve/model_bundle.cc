@@ -86,18 +86,33 @@ std::string ModelBundle::QuantDir() const {
              : config_.quant_checkpoint_dir;
 }
 
-StatusOr<std::string> ModelBundle::SelectCheckpoint() const {
+StatusOr<std::string> ModelBundle::SelectCheckpoint(
+    const std::string& served) const {
+  // Nothing older than the served file can replace it, and the served file
+  // itself is returned unopened: a poll that finds nothing new only lists
+  // the directories.
+  size_t min_epoch = 0;
+  if (!served.empty()) {
+    StatusOr<size_t> epoch = EpochOfPath(served);
+    if (epoch.ok()) min_epoch = *epoch;
+  }
   switch (config_.precision) {
     case PrecisionMode::kFp32:
-      return FindLatestValidCheckpoint(env(), config_.checkpoint_dir);
+      return FindLatestValidCheckpoint(env(), config_.checkpoint_dir, served,
+                                       min_epoch);
     case PrecisionMode::kInt8:
-      return FindLatestValidCheckpoint(env(), QuantDir());
+      return FindLatestValidCheckpoint(env(), QuantDir(), served, min_epoch);
     case PrecisionMode::kAuto:
       break;
   }
+  // Ties go to the quantized artifact, so while one is served an fp32 file
+  // must be strictly newer to matter.
+  const bool serving_quant = served.rfind(QuantDir() + "/", 0) == 0;
   StatusOr<std::string> fp32 =
-      FindLatestValidCheckpoint(env(), config_.checkpoint_dir);
-  StatusOr<std::string> quant = FindLatestValidCheckpoint(env(), QuantDir());
+      FindLatestValidCheckpoint(env(), config_.checkpoint_dir, served,
+                                serving_quant ? min_epoch + 1 : min_epoch);
+  StatusOr<std::string> quant =
+      FindLatestValidCheckpoint(env(), QuantDir(), served, min_epoch);
   if (!quant.ok()) return fp32;
   if (!fp32.ok()) return quant;
   StatusOr<size_t> fp32_epoch = EpochOfPath(*fp32);
@@ -185,7 +200,7 @@ StatusOr<std::shared_ptr<ModelSnapshot>> ModelBundle::LoadSnapshot(
 }
 
 Status ModelBundle::LoadInitial() {
-  StatusOr<std::string> path = SelectCheckpoint();
+  StatusOr<std::string> path = SelectCheckpoint("");
   if (!path.ok()) return path.status();
   StatusOr<std::shared_ptr<ModelSnapshot>> snapshot = LoadSnapshot(*path);
   if (!snapshot.ok()) return snapshot.status();
@@ -199,7 +214,9 @@ std::shared_ptr<const ModelSnapshot> ModelBundle::snapshot() const {
 }
 
 StatusOr<bool> ModelBundle::ReloadIfNewer() {
-  StatusOr<std::string> path = SelectCheckpoint();
+  const std::shared_ptr<const ModelSnapshot> cur = snapshot();
+  StatusOr<std::string> path =
+      SelectCheckpoint(cur != nullptr ? cur->checkpoint_path : "");
   if (!path.ok()) {
     // NotFound is the steady state before the trainer lands anything;
     // everything else (ListDir IO error) is a real failure worth counting.
@@ -238,7 +255,17 @@ StatusOr<bool> ModelBundle::ApplyDeltaIfNewer() {
   // snapshot has none and waits for the next full artifact instead.
   if (cur->precision != Precision::kFp32) return false;
 
-  StatusOr<std::string> path = FindLatestValidDelta(env(), config_.delta_dir);
+  // The delta already applied to this base is not opened again, so a poll
+  // with no newer delta only lists the directory.
+  std::string applied_path;
+  {
+    MutexLock lock(delta_mu_);
+    if (delta_base_path_ == cur->checkpoint_path) {
+      applied_path = applied_delta_path_;
+    }
+  }
+  StatusOr<std::string> path =
+      FindLatestValidDelta(env(), config_.delta_dir, applied_path);
   if (!path.ok()) return path.status();  // NotFound = trainer idle so far
 
   // delta_mu_ serializes appliers and guards the double-buffer bookkeeping,

@@ -143,6 +143,8 @@ class ModelBundle {
 
   /// Checks for a checkpoint newer than the current snapshot and swaps it
   /// in. Returns true when a swap happened, false when already current.
+  /// The served file is not re-read, so a poll that finds nothing newer
+  /// costs a directory listing; a newer file is verified, then loaded.
   StatusOr<bool> ReloadIfNewer() EXCLUDES(mu_);
 
   /// Registered callbacks run after every swap (initial load included),
@@ -188,8 +190,10 @@ class ModelBundle {
   uint64_t reload_count() const;
 
  private:
-  /// Newest checkpoint path eligible under config_.precision.
-  StatusOr<std::string> SelectCheckpoint() const;
+  /// Newest checkpoint path eligible under config_.precision. `served` is
+  /// the path of the snapshot being served ("" before the first load): it
+  /// is returned without being re-read while nothing newer is valid.
+  StatusOr<std::string> SelectCheckpoint(const std::string& served) const;
   std::string QuantDir() const;
   /// Prepare + fingerprint check + parameter load of the checkpoint at
   /// `path` under config_.precision: a v1 training checkpoint loads as is,

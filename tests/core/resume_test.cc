@@ -5,7 +5,9 @@
 // data-parallel trainer. The fault-injection soak at the bottom proves a
 // failure at any IO step never leaves a torn checkpoint behind.
 
+#include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "core/checkpoint.h"
 #include "core/st_transrec.h"
 #include "data/synth/world_generator.h"
+#include "nn/optimizer.h"
 #include "util/fault_injection.h"
 #include "scratch_dir.h"
 
@@ -102,6 +105,72 @@ TEST(ResumeTest, ParallelKillAndResumeIsBitIdentical) {
 
 TEST(ResumeTest, SerialKillAfterOneEpochResumes) {
   ExpectKillAndResumeBitIdentical(/*workers=*/1, /*kill_at=*/1);
+}
+
+// The serving path: a model that was only Prepare()d and Load()ed never
+// created its optimizer. Resume() must still restore the checkpoint's Adam
+// moments and continue exactly where the killed run stopped.
+TEST(ResumeTest, LoadedModelResumesBitIdentically) {
+  auto f = MakeFixture();
+  StTransRec uninterrupted(SmallConfig(1));
+  ASSERT_TRUE(uninterrupted.Fit(f.world.dataset, f.split).ok());
+
+  const std::string dir = TestDir();
+  auto killed_cfg = SmallConfig(1);
+  killed_cfg.num_epochs = 2;
+  killed_cfg.checkpoint_dir = dir;
+  StTransRec killed(killed_cfg);
+  ASSERT_TRUE(killed.Fit(f.world.dataset, f.split).ok());
+
+  auto resumed_cfg = SmallConfig(1);
+  resumed_cfg.checkpoint_dir = dir;
+  StTransRec resumed(resumed_cfg);
+  ASSERT_TRUE(resumed.Prepare(f.world.dataset, f.split).ok());
+  const auto latest = FindLatestValidCheckpoint(*Env::Default(), dir);
+  ASSERT_TRUE(latest.ok());
+  const auto reader = CheckpointReader::Open(*Env::Default(), *latest);
+  ASSERT_TRUE(reader.ok());
+  const auto params = reader->Section("model");
+  ASSERT_TRUE(params.ok());
+  std::istringstream in(*params, std::ios::binary);
+  ASSERT_TRUE(resumed.Load(in).ok());
+  ASSERT_TRUE(resumed.Resume(f.world.dataset, f.split).ok());
+
+  EXPECT_EQ(resumed.loss_history(), uninterrupted.loss_history());
+  const auto want = uninterrupted.Parameters();
+  const auto got = resumed.Parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Tensor& a = want[i].value();
+    const Tensor& b = got[i].value();
+    ASSERT_TRUE(a.SameShape(b)) << "parameter " << i;
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+        << "parameter " << i;
+  }
+}
+
+// A model that never stepped has no optimizer until it checkpoints; the
+// section it writes then is a fresh Adam's, as when Prepare() built one.
+TEST(ResumeTest, NeverSteppedModelWritesAFreshOptimizerState) {
+  auto f = MakeFixture();
+  auto cfg = SmallConfig(1);
+  cfg.checkpoint_dir = TestDir();
+  StTransRec model(cfg);
+  ASSERT_TRUE(model.Prepare(f.world.dataset, f.split).ok());
+  ASSERT_TRUE(model.WriteCheckpoint().ok());
+
+  const auto latest =
+      FindLatestValidCheckpoint(*Env::Default(), cfg.checkpoint_dir);
+  ASSERT_TRUE(latest.ok());
+  const auto reader = CheckpointReader::Open(*Env::Default(), *latest);
+  ASSERT_TRUE(reader.ok());
+  const auto written = reader->Section("optimizer");
+  ASSERT_TRUE(written.ok());
+
+  nn::Adam fresh(model.Parameters(), cfg.learning_rate);
+  std::ostringstream want(std::ios::binary);
+  ASSERT_TRUE(fresh.SaveState(want).ok());
+  EXPECT_EQ(*written, want.str());
 }
 
 TEST(ResumeTest, EmptyDirectoryIsNotFound) {

@@ -1,13 +1,15 @@
 // ModelBundle: initial load of the newest valid checkpoint, config
 // fingerprint rejection, hot reload on newer checkpoints (manual and via
-// the background watcher), reload listeners, and the in-flight guarantee
-// that a request's captured snapshot survives a swap. The watcher test
-// doubles as the TSan target for concurrent scoring during hot reload.
+// the background watcher), what a poll reads, reload listeners, and the
+// in-flight guarantee that a request's captured snapshot survives a swap.
+// The watcher test doubles as the TSan target for concurrent scoring
+// during hot reload.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -16,12 +18,16 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "core/delta.h"
 #include "serve/model_bundle.h"
 #include "serve/result_cache.h"
 #include "serve_test_util.h"
+#include "util/fault_injection.h"
 
 namespace sttr::serve {
 namespace {
+
+using Op = FaultInjectionEnv::Op;
 
 class ModelBundleTest : public ::testing::Test {
  protected:
@@ -52,6 +58,25 @@ class ModelBundleTest : public ::testing::Test {
         (std::filesystem::path(dir) / CheckpointFileName(epoch)).string();
     std::filesystem::copy_file(*latest, target);
     return target;
+  }
+
+  /// Publishes a one-row delta against `base` (what the streaming trainer
+  /// writes), bypassing any fault env.
+  void LandDelta(const ModelSnapshot& base, const std::string& delta_dir,
+                 uint64_t seq) {
+    DeltaCheckpoint delta;
+    delta.base_epoch = base.epoch;
+    delta.base_model_crc = base.model_crc;
+    delta.seq = seq;
+    delta.events_applied = seq;
+    delta.config_fingerprint = base.model->ConfigFingerprint();
+    delta.user.dim = SmallServingModelConfig().embedding_dim;
+    delta.user.rows = {0};
+    delta.user.values.assign(delta.user.dim, 0.25f);
+    std::filesystem::create_directories(delta_dir);
+    STTR_CHECK_OK(WriteDeltaCheckpoint(*Env::Default(),
+                                       delta_dir + "/" + DeltaFileName(seq),
+                                       delta));
   }
 
   std::vector<double> ScoreSome(const StTransRec& model) {
@@ -101,15 +126,121 @@ TEST_F(ModelBundleTest, RejectsCheckpointFromDifferentConfig) {
       << status.ToString();
 }
 
+// A poll that finds nothing new only lists the directories: the served
+// checkpoint and the applied delta are not read again.
 TEST_F(ModelBundleTest, ReloadIfNewerIsNoopWhenCurrent) {
   const std::string dir = ServeTestDir();
   TrainSmallModel(*fixture_, dir);
+  FaultInjectionEnv fault_env;
+  ModelBundleConfig config = BundleConfig(dir);
+  config.env = &fault_env;
+  config.delta_dir = dir + "/delta";
+  ModelBundle bundle(dataset(), split(), config);
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+
+  size_t reads = fault_env.op_count(Op::kRead);
+  for (int i = 0; i < 20; ++i) {
+    const auto swapped = bundle.ReloadIfNewer();
+    ASSERT_TRUE(swapped.ok());
+    EXPECT_FALSE(*swapped);
+  }
+  EXPECT_EQ(bundle.reload_count(), 1u);
+  EXPECT_EQ(fault_env.op_count(Op::kRead), reads);
+
+  LandDelta(*bundle.snapshot(), config.delta_dir, /*seq=*/1);
+  const auto applied = bundle.ApplyDeltaIfNewer();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  ASSERT_TRUE(*applied);
+  reads = fault_env.op_count(Op::kRead);
+  for (int i = 0; i < 20; ++i) {
+    const auto swapped = bundle.ReloadIfNewer();
+    ASSERT_TRUE(swapped.ok());
+    EXPECT_FALSE(*swapped);
+    const auto patched = bundle.ApplyDeltaIfNewer();
+    ASSERT_TRUE(patched.ok());
+    EXPECT_FALSE(*patched);
+  }
+  EXPECT_EQ(bundle.snapshot()->delta_seq, 1u);
+  EXPECT_EQ(fault_env.op_count(Op::kRead), reads);
+}
+
+// A torn file newer than the served one is opened, fails its check and is
+// skipped; the served model stays.
+TEST_F(ModelBundleTest, TornNewerCheckpointIsSkipped) {
+  const std::string dir = ServeTestDir();
+  TrainSmallModel(*fixture_, dir);
+  FaultInjectionEnv fault_env;
+  ModelBundleConfig config = BundleConfig(dir);
+  config.env = &fault_env;
+  ModelBundle bundle(dataset(), split(), config);
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+  const auto served = bundle.snapshot();
+  const std::vector<double> before = ScoreSome(*served->model);
+
+  const std::string torn = LandNewerCheckpoint(dir, /*epoch=*/50);
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
+  for (int i = 0; i < 3; ++i) {
+    const size_t reads = fault_env.op_count(Op::kRead);
+    const auto swapped = bundle.ReloadIfNewer();
+    ASSERT_TRUE(swapped.ok());
+    EXPECT_FALSE(*swapped);
+    EXPECT_EQ(fault_env.op_count(Op::kRead) - reads, 1u)
+        << "each poll verifies the newer file, and only it";
+  }
+  EXPECT_EQ(bundle.snapshot(), served);
+  EXPECT_EQ(ScoreSome(*bundle.snapshot()->model), before);
+}
+
+// A valid newer checkpoint costs two reads: one to verify it, one to load.
+TEST_F(ModelBundleTest, NewerCheckpointIsVerifiedThenLoaded) {
+  const std::string dir = ServeTestDir();
+  TrainSmallModel(*fixture_, dir);
+  FaultInjectionEnv fault_env;
+  ModelBundleConfig config = BundleConfig(dir);
+  config.env = &fault_env;
+  ModelBundle bundle(dataset(), split(), config);
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+
+  const std::string newer = LandNewerCheckpoint(dir, /*epoch=*/50);
+  const size_t reads = fault_env.op_count(Op::kRead);
+  const auto swapped = bundle.ReloadIfNewer();
+  ASSERT_TRUE(swapped.ok());
+  EXPECT_TRUE(*swapped);
+  EXPECT_EQ(fault_env.op_count(Op::kRead) - reads, 2u);
+  EXPECT_EQ(bundle.snapshot()->checkpoint_path, newer);
+}
+
+// The served file is not re-read, so damage to it on disk goes unnoticed:
+// the loaded model keeps serving instead of the bundle rolling back to an
+// older checkpoint. A fresh start still verifies, and falls back.
+TEST_F(ModelBundleTest, ServedFileCorruptedOnDiskDoesNotRollBack) {
+  const std::string dir = ServeTestDir();
+  TrainSmallModel(*fixture_, dir);
+  const std::string newest = LandNewerCheckpoint(dir, /*epoch=*/50);
   ModelBundle bundle(dataset(), split(), BundleConfig(dir));
   ASSERT_TRUE(bundle.LoadInitial().ok());
+  const auto served = bundle.snapshot();
+  ASSERT_EQ(served->checkpoint_path, newest);
+
+  {
+    std::fstream file(newest,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    const auto middle =
+        static_cast<std::streamoff>(std::filesystem::file_size(newest) / 2);
+    file.seekg(middle);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(middle);
+    file.put(static_cast<char>(~byte));
+  }
+  ASSERT_FALSE(CheckpointReader::Open(*Env::Default(), newest).ok());
   const auto swapped = bundle.ReloadIfNewer();
   ASSERT_TRUE(swapped.ok());
   EXPECT_FALSE(*swapped);
-  EXPECT_EQ(bundle.reload_count(), 1u);
+  EXPECT_EQ(bundle.snapshot(), served);
+
+  ModelBundle restarted(dataset(), split(), BundleConfig(dir));
+  ASSERT_TRUE(restarted.LoadInitial().ok());
+  EXPECT_NE(restarted.snapshot()->checkpoint_path, newest);
 }
 
 TEST_F(ModelBundleTest, HotReloadSwapsInNewerCheckpointAndNotifies) {

@@ -25,6 +25,7 @@
 #include "serve/result_cache.h"
 #include "tensor/quant.h"
 #include "serve_test_util.h"
+#include "util/fault_injection.h"
 
 namespace sttr::serve {
 namespace {
@@ -259,6 +260,40 @@ TEST_F(PrecisionReloadTest, NewerEpochWinsAcrossPrecisions) {
   EXPECT_EQ(bundle.snapshot()->precision, Precision::kInt8);
   EXPECT_EQ(bundle.snapshot()->epoch, epoch + 9);
   EXPECT_TRUE(SingleScorer(*bundle.snapshot()));
+}
+
+// Under kAuto a poll with nothing new opens no file, whichever precision
+// is served: files in the other directory count only when they would win
+// (newer, or as new for a quantized artifact).
+TEST_F(PrecisionReloadTest, AutoPollOpensNoFileWhileCurrent) {
+  const std::string dir = ServeTestDir();
+  const auto trainer = TrainSmallModel(*fixture_, dir);
+  const size_t epoch = SmallServingModelConfig().num_epochs;
+  LandQuantArtifact(*trainer, dir, epoch);
+
+  FaultInjectionEnv fault_env;
+  ModelBundleConfig config = BundleConfig(dir, PrecisionMode::kAuto);
+  config.env = &fault_env;
+  ModelBundle bundle(dataset(), split(), config);
+  ASSERT_TRUE(bundle.LoadInitial().ok());
+  const auto expect_polls_read_nothing = [&] {
+    const size_t reads = fault_env.op_count(FaultInjectionEnv::Op::kRead);
+    for (int i = 0; i < 5; ++i) {
+      const auto swapped = bundle.ReloadIfNewer();
+      ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+      EXPECT_FALSE(*swapped);
+    }
+    EXPECT_EQ(fault_env.op_count(FaultInjectionEnv::Op::kRead), reads);
+  };
+  ASSERT_EQ(bundle.snapshot()->precision, Precision::kInt8);
+  expect_polls_read_nothing();
+
+  LandNewerFp32(dir, epoch + 1);
+  const auto swapped = bundle.ReloadIfNewer();
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_TRUE(*swapped);
+  ASSERT_EQ(bundle.snapshot()->precision, Precision::kFp32);
+  expect_polls_read_nothing();
 }
 
 TEST_F(PrecisionReloadTest, ResultCacheKeysDistinguishPrecision) {

@@ -10,6 +10,8 @@
 // and a nocache=1 answer also the exact bytes recorded before the chaos.
 // Once every client has left, no connection slot may stay open, and a
 // warmed cache hit must still allocate nothing, on the worker or the loop.
+// A connection reset while its request is scored must not wake the event
+// loop again until the answer is ready.
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -300,6 +302,35 @@ class ServeChaosTest : public ::testing::Test {
     return stalled && unread > 0;
   }
 
+  /// The /statz counters an event-loop wake-up is accounted against.
+  struct LoopCounters {
+    uint64_t waits, reads, writes, accepts, requests;
+    Clock::time_point at;
+  };
+  LoopCounters ReadLoopCounters() const {
+    return {stats_.sys_epoll_waits.load(), stats_.sys_reads.load(),
+            stats_.sys_writes.load(),      stats_.sys_accepts.load(),
+            stats_.requests.load(),        Clock::now()};
+  }
+
+  /// Every epoll_wait since `from` that returned had work to show for it:
+  /// a read or a write, a new connection (its hand-off wake-up and, at most
+  /// once, its hang-up), a request's completion wake-up, or the end of a
+  /// wait, which lasts up to 100 ms with this config's idle timeout. A loop
+  /// woken over and over by a hung-up connection breaks the bound.
+  void ExpectEpollWaitsPaidFor(const LoopCounters& from) const {
+    const LoopCounters to = ReadLoopCounters();
+    const auto elapsed_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(to.at - from.at)
+            .count();
+    const uint64_t paid = (to.reads - from.reads) + (to.writes - from.writes) +
+                          2 * (to.accepts - from.accepts) +
+                          (to.requests - from.requests) +
+                          static_cast<uint64_t>(elapsed_ms) / 100 + 2;
+    EXPECT_LE(to.waits - from.waits, paid)
+        << "the event loop woke without work to do";
+  }
+
   /// Waits (bounded) until at most `n` connections are open.
   bool OpenConnectionsDropTo(size_t n) {
     const auto deadline = Clock::now() + std::chrono::seconds(10);
@@ -361,7 +392,9 @@ TEST_F(ServeChaosTest, HalfHeadThenClose) {
 }
 
 TEST_F(ServeChaosTest, ResetWhileRequestIsScored) {
+  const LoopCounters before = ReadLoopCounters();
   RunChaos({[this] { ResetWhileScored(64); }});
+  ExpectEpollWaitsPaidFor(before);
   ExpectCleanAfterChaos();
 }
 

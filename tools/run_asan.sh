@@ -24,7 +24,7 @@ fi
 
 cmake -B "${build_dir}" -S "${repo_root}" -DSTTR_SANITIZE=address,undefined \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j "$(nproc)"
 
 # Any ASan/UBSan report fails the run; abort_on_error keeps reports readable
 # and makes UBSan findings fatal instead of log-only.

@@ -9,10 +9,8 @@
 # reloads racing injected checkpoint-read faults, and the streaming
 # ingestion subsystem: the bounded event log under concurrent producers,
 # row-level result-cache invalidation racing lookups, and the /checkin
-# ingest path on the live server). zero_alloc_test is left out: its
-# zero-allocation assertions were found not to hold under TSan's
-# interceptors. (serve_chaos_test's warmed-hit window asserts the same
-# counters and passes under GCC 12's TSan runtime.)
+# ingest path on the live server), and the zero-allocation cache-hit path
+# (its counters hold under GCC 12's TSan runtime).
 # Usage: tools/run_tsan.sh [build-dir] (default: build-tsan).
 set -euo pipefail
 
@@ -32,17 +30,17 @@ fi
 
 cmake -B "${build_dir}" -S "${repo_root}" -DSTTR_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "${build_dir}" -j \
+cmake --build "${build_dir}" -j "$(nproc)" \
   --target thread_pool_test parallel_trainer_test sparse_allreduce_test \
            checkpoint_race_test result_cache_test \
            model_bundle_test server_test shutdown_race_test \
            event_loop_test golden_test precision_reload_test \
-           serve_chaos_test reload_fault_test \
+           serve_chaos_test reload_fault_test zero_alloc_test \
            event_log_test ingest_service_test ingest_server_test \
            stream_e2e_test
 
 # TSan findings abort the run; halt_on_error keeps the first report readable.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${build_dir}" --output-on-failure \
-  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ServeChaos|ReloadFault|EventLog|IngestService|IngestServer|StreamE2E)'
+  -R '(ThreadPool|ParallelTrainer|SparseAllReduce|CheckpointRace|ResultCache|ModelBundle|ServerTest|ShutdownRace|EventLoop|GoldenTest|PrecisionReload|ServeChaos|ReloadFault|ZeroAlloc|EventLog|IngestService|IngestServer|StreamE2E)'
 echo "TSan run clean."
